@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
-"""Scale sweep of the scheduler hot path across all three simulator cores.
+"""Scale sweep of the scheduler hot path across both simulator cores.
 
 Runs power-capped and uncapped scheduling across (nodes × jobs) points
-with the structure-of-arrays core (``core="array"``), the event-calendar
-core and the naive ``reference`` loop, and records for each point:
+with the structure-of-arrays core (``core="array"``) and the naive
+``reference`` loop, and records for each point:
 
-* wall-clock seconds and jobs/s per core, the calendar-vs-reference
-  speedup, and the array-vs-calendar speedup;
-* the result content digest of every core that ran, to prove the fast
-  cores replay the reference float-for-float at equal seeds (the
+* wall-clock seconds and jobs/s per core, and the array-vs-reference
+  speedup where the reference ran;
+* the result content digest of every core that ran, to prove the array
+  core replays the reference float-for-float at equal seeds (the
   DESIGN.md §9–10 equivalence contract) — a speedup claim is
   meaningless if the fast core computes something else;
 * a campaign-runner scaling measurement: a fixed policy×cap×seed grid
@@ -27,7 +27,7 @@ Run:  python benchmarks/bench_sched.py [--points 64x2000,16384x1000000]
 Writes ``BENCH_sched.json`` at the repo root by default; the
 ``--check-against`` gate fails on a >tolerance speedup regression
 against a committed baseline (ratio of ratios, so runner speed cancels
-out) and on any digest mismatch between any pair of cores.
+out) and on any digest mismatch between the cores.
 """
 
 from __future__ import annotations
@@ -115,13 +115,13 @@ def run_core(jobs, n_nodes: int, policy_factory, capped: bool, core: str,
 
 
 def warmup() -> None:
-    """Import every core and warm allocator/caches before timing.
+    """Import both cores and warm allocator/caches before timing.
 
     Without this the first timed run absorbs lazy module imports and
     first-touch costs, skewing whichever core runs first.
     """
     jobs = make_jobs(16, 200)
-    for core in ("array", "calendar", "reference"):
+    for core in ("array", "reference"):
         run_core(jobs, 16, FifoScheduler, capped=True, core=core)
 
 
@@ -154,8 +154,9 @@ def bench_point(n_nodes: int, n_jobs: int, max_ref_jobs: int,
                 ) -> tuple[list[dict], dict[str, dict], dict[str, bool]]:
     """All modes × cores at one sweep point.
 
-    Digest equality is checked across *every* pair of cores that ran the
-    mode; the returned flag is per mode (all pairs equal)."""
+    Speedups and digest equality are recorded per mode only where the
+    reference core ran (``n_jobs <= max_ref_jobs``); above that the
+    array core runs alone and only its timing is reported."""
     jobs = make_jobs(n_nodes, n_jobs)
     runs, speedups, digests_equal = [], {}, {}
     for mode, policy_factory, capped in MODES:
@@ -167,34 +168,20 @@ def bench_point(n_nodes: int, n_jobs: int, max_ref_jobs: int,
                "n_nodes": n_nodes, "n_jobs": n_jobs}
         arr = run_core(jobs, n_nodes, policy_factory, capped, core="array",
                        repeats=repeats, budget_s=budget_s)
-        cal = run_core(jobs, n_nodes, policy_factory, capped, core="calendar",
-                       repeats=repeats, budget_s=budget_s)
         runs.append({**rec, **arr})
-        runs.append({**rec, **cal})
-        by_core = {"array": arr, "calendar": cal}
-        mode_speedups = {
-            "array_vs_calendar": round(cal["wall_s"] / arr["wall_s"], 2),
-        }
+        line = (f"n={n_nodes:5d} jobs={n_jobs:7d} {mode:>13}: "
+                f"array {arr['wall_s']:8.2f} s ({arr['jobs_per_s']:>9,.0f} jobs/s)")
         if n_jobs <= max_ref_jobs:
             ref = run_core(jobs, n_nodes, policy_factory, capped,
                            core="reference", repeats=repeats, budget_s=budget_s)
             runs.append({**rec, **ref})
-            by_core["reference"] = ref
-            mode_speedups["calendar_vs_reference"] = round(
-                ref["wall_s"] / cal["wall_s"], 2)
-        digests = {c: r["digest"] for c, r in by_core.items()}
-        equal = len(set(digests.values())) == 1
-        speedups[mode] = mode_speedups
-        digests_equal[mode] = equal
-        ref_note = (
-            f" ref {by_core['reference']['wall_s']:8.2f} s"
-            if "reference" in by_core else ""
-        )
-        print(f"n={n_nodes:5d} jobs={n_jobs:7d} {mode:>13}: "
-              f"array {arr['wall_s']:8.2f} s ({arr['jobs_per_s']:>9,.0f} jobs/s) "
-              f"vs calendar {cal['wall_s']:8.2f} s{ref_note} -> "
-              f"{mode_speedups['array_vs_calendar']:5.2f}x "
-              f"(digests {'EQUAL' if equal else 'DIFFER'})")
+            speedup = round(ref["wall_s"] / arr["wall_s"], 2)
+            equal = ref["digest"] == arr["digest"]
+            speedups[mode] = {"array_vs_reference": speedup}
+            digests_equal[mode] = equal
+            line += (f" vs reference {ref['wall_s']:8.2f} s -> {speedup:5.2f}x "
+                     f"(digests {'EQUAL' if equal else 'DIFFER'})")
+        print(line)
         if profile_dir is not None:
             profile_run(jobs, n_nodes, policy_factory, capped, "array",
                         profile_dir / f"PROFILE_{n_nodes}x{n_jobs}_{mode}_array.txt")
@@ -338,10 +325,6 @@ def main(argv: list[str] | None = None) -> int:
                 base_pairs = base_speedups.get(key, {}).get(mode)
                 if base_pairs is None:
                     continue
-                if not isinstance(pairs, dict):  # pre-array baseline layout
-                    pairs = {"calendar_vs_reference": pairs}
-                if not isinstance(base_pairs, dict):
-                    base_pairs = {"calendar_vs_reference": base_pairs}
                 for pair, measured in pairs.items():
                     expected = base_pairs.get(pair)
                     if expected is None:

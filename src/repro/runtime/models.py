@@ -35,7 +35,7 @@ from ..scheduler.registries import (
     SEARCHER_REGISTRY,
     WORKLOAD_REGISTRY,
 )
-from ..scheduler.simulate import SIMULATOR_CORES, NodeOutage
+from ..scheduler.simulate import NodeOutage, resolve_core
 
 __all__ = [
     "KINDS",
@@ -138,12 +138,10 @@ def _check_policy_name(where: str, name: str) -> str:
 
 
 def _check_core(where: str, name: str) -> str:
-    if name not in SIMULATOR_CORES:
-        raise ConfigError(
-            f"{where}: unknown simulator core {name!r}; "
-            f"known: {SIMULATOR_CORES}"
-        )
-    return name
+    try:
+        return resolve_core(name)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _clean(value: Any) -> Any:
@@ -516,7 +514,7 @@ class CellSpec:
             _check_policy_name(f"{where}.policy", policy)
         core = opt("core", _as_str)
         if core is not None:
-            _check_core(f"{where}.core", core)
+            core = _check_core(f"{where}.core", core)
         raw_outages = data.get("outages", [])
         if not isinstance(raw_outages, (list, tuple)):
             raise _bad(where, "outages", "an array of tables", raw_outages)

@@ -10,7 +10,8 @@ memo table.  Three pieces:
   the identical key even when they are spelled differently —
   ``budget_w=None`` with a cap vs the budget written out,
   ``"nameplate"`` vs ``"nameplate:2000.0"``, ``reference=True`` vs
-  ``core="reference"`` — and cosmetic fields (``label``) are excluded.
+  ``core="reference"``, a retired core name vs the core it resolves to
+  — and cosmetic fields (``label``) are excluded.
   The derivation is pure data (sorted-key canonical JSON → SHA-256):
   no ``repr``, no ``id()``, no interpreter hash seed, so keys are
   stable across field reordering, processes, and runs.
@@ -48,7 +49,7 @@ import numpy as np
 
 from ..power.trace import PowerTrace
 from .job import Job, JobRecord, JobState
-from .simulate import NodeOutage, SimulationResult
+from .simulate import NodeOutage, SimulationResult, resolve_core
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from .campaign import CampaignConfig, Scenario, ScenarioResult
@@ -125,9 +126,7 @@ def _canonical_scenario(
     """
     policy = str(scenario.policy)
     cap = scenario.cap_w
-    core = scenario.core
-    if core is None:
-        core = "reference" if scenario.reference else "array"
+    core = resolve_core(scenario.core, scenario.reference)
     entry: dict[str, Any] = {
         "policy": policy,
         "seed_index": int(scenario.seed_index),

@@ -53,7 +53,8 @@ class ReadyView:
 
     A batch decision must equal ``policy.select(view.tail(), view.ctx())``
     record-for-record: the differential harness pins this by running the
-    same scenarios through cores that use either entry point.
+    same scenarios through the reference core (``select``) and the array
+    core (``select_batch``).
 
     ``releases`` is the core-maintained sorted list of
     ``(requested_end_s, n_nodes, job_id, record)`` tuples, one per
@@ -62,12 +63,12 @@ class ReadyView:
     Cores maintain it incrementally (one ``insort`` per start, one
     bisect-remove per completion/requeue) only when the policy opts in
     via the ``wants_releases`` class attribute; otherwise it stays
-    ``None`` and policies fall back to the context path.  Because a
-    job's requested end is ``start_time_s + walltime_req_s`` — the same
-    two floats whenever the sum is computed — the incremental list holds
-    bit-identical keys to the per-decision rebuild, and full
-    ``(end, n)`` ties (the only entries whose relative order the extra
-    ``job_id`` key can permute) are interchangeable in any prefix scan.
+    ``None``.  Because a job's requested end is ``start_time_s +
+    walltime_req_s`` — the same two floats whenever the sum is computed
+    — the incremental list holds bit-identical keys to the per-decision
+    rebuild, and full ``(end, n)`` ties (the only entries whose relative
+    order the extra ``job_id`` key can permute) are interchangeable in
+    any prefix scan.
 
     ``qn`` / ``qw`` are optional NumPy columns aligned with ``recs``
     (``qn[i]`` is ``recs[i].job.n_nodes`` as int64, ``qw[i]`` the
@@ -228,11 +229,12 @@ class EasyBackfillScheduler:
         FIFO prefix nor any backfill candidate can start — return empty
         without materializing anything.  Otherwise the FIFO prefix is
         the same bounded scan FIFO uses, and phases 2–3 run on the
-        backing list in place (no tail copy).  When the core maintains
-        ``view.releases``, the head-reservation scan lazily merges that
-        sorted list with the handful of just-started jobs instead of
-        re-sorting every running job — and the frozen context (with its
-        O(running) tuple builds) is never constructed at all.
+        backing list in place (no tail copy).  The core maintains
+        ``view.releases`` (EASY opts in through ``wants_releases``), so
+        the head-reservation scan lazily merges that sorted list with
+        the handful of just-started jobs instead of re-sorting every
+        running job — and the frozen context (with its O(running) tuple
+        builds) is never constructed at all.
         """
         free = view.n_free
         if free == 0:
@@ -248,29 +250,20 @@ class EasyBackfillScheduler:
             return started
         for rec in started:
             free -= rec.job.n_nodes
-        rel = view.releases
-        if rel is None:
-            ctx = view.ctx()
-            now_s = ctx.now_s
-            releases = sorted(
-                (self._requested_end(rec, now_s), rec.job.n_nodes)
-                for rec in list(ctx.running) + started
+        now_s = view.now_s
+        if started:
+            fresh = sorted(
+                (now_s + rec.job.walltime_req_s, rec.job.n_nodes)
+                for rec in started
             )
+            # Lazy merge: the reservation scan usually stops after a
+            # few entries, so never materialize the merged list.
+            # Mixed tuple widths compare by common prefix; a 2-tuple
+            # sorting before an equal-(end, n) 3/4-tuple is a full
+            # tie, which any prefix-sum scan treats identically.
+            releases = _heap_merge(view.releases, fresh)
         else:
-            now_s = view.now_s
-            if started:
-                fresh = sorted(
-                    (now_s + rec.job.walltime_req_s, rec.job.n_nodes)
-                    for rec in started
-                )
-                # Lazy merge: the reservation scan usually stops after a
-                # few entries, so never materialize the merged list.
-                # Mixed tuple widths compare by common prefix; a 2-tuple
-                # sorting before an equal-(end, n) 3/4-tuple is a full
-                # tie, which any prefix-sum scan treats identically.
-                releases = _heap_merge(rel, fresh)
-            else:
-                releases = rel
+            releases = view.releases
         started = self._reserve_and_backfill(
             started, recs, qpos, free, now_s, releases,
             qn=view.qn, qw=view.qw, picked=picked,

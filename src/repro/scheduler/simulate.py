@@ -20,41 +20,38 @@ Jobs progress in *work seconds*: a job finishes when its accumulated
 ``speed * dt`` reaches its true runtime, so capping stretches wall-clock
 exactly as the real machine's throttling does.
 
-Three interchangeable cores execute the same event semantics (DESIGN.md
+Two interchangeable cores execute the same event semantics (DESIGN.md
 §9–10 state the equivalence contract):
 
 * the **reference core** (``core="reference"``) is the naive loop: every
   event it rescans all running jobs for the earliest completion and
   re-applies the trim to each of them, and it keeps the ready queue as a
   plain list with ``remove`` + full re-sort;
-* the **calendar core** (``core="calendar"``, the default,
-  :mod:`repro.scheduler.calendar`) keeps completion ETAs in a
-  lazy-invalidation heap, re-applies the trim only when the trim ratio
-  actually moved, and uses incremental free-node / ready-queue /
-  power-trace structures;
-* the **array core** (``core="array"``,
+* the **array core** (``core="array"``, the default,
   :mod:`repro.scheduler.array_core`) keeps running-job state in
   structure-of-arrays NumPy lanes, vectorizes trim re-application and
   completion-ETA recomputation, and batches equal-timestamp events.
 
-All cores share the segment arithmetic of
+Both cores share the segment arithmetic of
 :mod:`repro.scheduler.contract` (`_PowerLedger`, `_settle`,
 `_set_speed`, `_resolve_ledger`), so at equal seeds they produce
 float-identical :class:`SimulationResult`\\ s — pinned by
 ``tests/test_sched_equivalence.py`` plus the differential harness in
 ``tests/diff_harness.py``, and benchmarked by
-``benchmarks/bench_sched.py``.
+``benchmarks/bench_sched.py``.  :func:`resolve_core` is the one place
+that maps a requested backend name to a core.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
+import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ..compat import pop_alias, reject_unknown_kwargs, rename_kwargs
 from ..observability import Observability, null_observability
 from ..power.trace import PowerTrace
 from .contract import (
@@ -68,10 +65,39 @@ from .contract import (
 from .job import Job, JobRecord, JobState
 from .policies import SchedulerContext, SchedulingPolicy
 
-__all__ = ["NodeOutage", "SimulationResult", "ClusterSimulator", "SIMULATOR_CORES"]
+__all__ = [
+    "NodeOutage", "SimulationResult", "ClusterSimulator", "SIMULATOR_CORES",
+    "resolve_core",
+]
 
-#: The selectable simulation backends, cheapest-to-fastest.
-SIMULATOR_CORES = ("reference", "calendar", "array")
+#: The selectable simulation backends: the oracle, then the fast core.
+SIMULATOR_CORES = ("reference", "array")
+
+
+def resolve_core(core: Optional[str], reference: bool = False) -> str:
+    """Map a requested simulator backend onto one of :data:`SIMULATOR_CORES`.
+
+    ``None`` picks the default: the array core, or the reference oracle
+    when ``reference=True`` (the pre-``core`` spelling).  The retired
+    event-calendar core's name ``"calendar"`` warns and resolves to the
+    array core, which is float-identical to it.  Unknown names and a
+    ``reference=True`` that contradicts ``core`` raise ``ValueError``.
+    """
+    if core == "calendar":
+        warnings.warn(
+            "core='calendar' is retired; it resolves to core='array' "
+            "(float-identical results)",
+            DeprecationWarning,
+            stacklevel=3,
+        )
+        core = "array"
+    if core is None:
+        return "reference" if reference else "array"
+    if core not in SIMULATOR_CORES:
+        raise ValueError(f"unknown core {core!r}; pick one of {SIMULATOR_CORES}")
+    if reference and core != "reference":
+        raise ValueError(f"reference=True conflicts with core={core!r}")
+    return core
 
 
 @dataclass(frozen=True)
@@ -218,10 +244,8 @@ class ClusterSimulator:
         obs: Optional[Observability] = None,
         reference: bool = False,
         core: Optional[str] = None,
-        **legacy,
     ):
-        """``cap_w`` is the reactive RAPL-style trim threshold (the old
-        ``reactive_cap_w`` spelling still works but warns).
+        """``cap_w`` is the reactive RAPL-style trim threshold.
 
         ``on_job_start(record)`` / ``on_job_end(record)`` fire at the
         corresponding lifecycle instants — the hook the Fig.-4 scheduler
@@ -231,28 +255,17 @@ class ClusterSimulator:
         excluded from dispatch until it rejoins, and ``on_job_requeue(rec)``
         fires for each kill.
 
-        ``core`` picks the simulation backend — one of
-        :data:`SIMULATOR_CORES`: ``"reference"`` is the naive rescanning
-        loop (the equivalence oracle and benchmark baseline),
-        ``"calendar"`` (the default) the event-calendar core, and
-        ``"array"`` the structure-of-arrays core for machine-room scale.
-        All three produce float-identical results.  ``reference=True``
-        is the pre-``core`` spelling of ``core="reference"`` and still
-        works."""
-        if legacy:
-            rename_kwargs("ClusterSimulator", legacy, {"reactive_cap_w": "cap_w"})
-            cap_w = pop_alias("ClusterSimulator", legacy, "cap_w", cap_w)
-            reject_unknown_kwargs("ClusterSimulator", legacy)
-        if core is None:
-            core = "reference" if reference else "calendar"
-        elif core not in SIMULATOR_CORES:
-            raise ValueError(f"unknown core {core!r}; pick one of {SIMULATOR_CORES}")
-        elif reference and core != "reference":
-            raise ValueError(f"reference=True conflicts with core={core!r}")
+        ``core`` picks the simulation backend through
+        :func:`resolve_core`: ``"reference"`` is the naive rescanning
+        loop (the equivalence oracle and benchmark baseline), ``"array"``
+        (the default) the structure-of-arrays core.  Both produce
+        float-identical results.  ``reference=True`` is the
+        pre-``core`` spelling of ``core="reference"`` and still works."""
+        core = resolve_core(core, reference)
         if n_nodes < 1:
             raise ValueError("need at least one node")
-        if cap_w is not None and cap_w <= 0:
-            raise ValueError("reactive cap must be positive")
+        if cap_w is not None and (not math.isfinite(cap_w) or cap_w <= 0):
+            raise ValueError(f"cap_w must be a positive finite power, got {cap_w!r}")
         if not 0 < min_speed <= 1:
             raise ValueError("min speed must lie in (0, 1]")
         for outage in node_outages:
@@ -280,11 +293,6 @@ class ClusterSimulator:
         self._m_overdemand = m.counter("cap_violation_seconds_total")
 
     @property
-    def reactive_cap_w(self) -> Optional[float]:
-        """Deprecated spelling of :attr:`cap_w` (kept one release)."""
-        return self.cap_w
-
-    @property
     def _rho_min(self) -> float:
         """The trim ratio at which execution speed hits ``min_speed``."""
         return self.min_speed ** (1.0 / self.speed_exponent)
@@ -296,13 +304,9 @@ class ClusterSimulator:
             raise ValueError("empty job stream")
         if self.core == "reference":
             return self._run_reference(jobs)
-        if self.core == "array":
-            from .array_core import run_array
+        from .array_core import run_array
 
-            return run_array(self, jobs)
-        from .calendar import run_calendar
-
-        return run_calendar(self, jobs)
+        return run_array(self, jobs)
 
     def _result(
         self,
@@ -338,8 +342,8 @@ class ClusterSimulator:
         ETA, re-applies the trim to each running job, rebuilds the
         scheduler context from scratch (``sorted`` over the free-node
         set), and mutates the ready queue with ``remove`` + full
-        re-sort.  Segment arithmetic is shared with the calendar core,
-        so the two produce float-identical results.
+        re-sort.  Segment arithmetic is shared with the array core, so
+        the two produce float-identical results.
         """
         pending = sorted(jobs, key=lambda j: (j.submit_time_s, j.job_id))
         records = {j.job_id: JobRecord(job=j) for j in pending}

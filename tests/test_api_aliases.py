@@ -9,7 +9,7 @@ import pytest
 from repro.capping import NodePowerCapper
 from repro.hardware import ComputeNode
 from repro.monitoring import CappingAgent, GatewayArray, GatewayDaemon, MqttBroker
-from repro.scheduler import ClusterSimulator, FifoScheduler, PowerAwareScheduler
+from repro.scheduler import PowerAwareScheduler
 from repro.sim import Environment
 from repro.timesync import LocalClock, NtpClient, PtpSlave
 
@@ -78,12 +78,6 @@ class TestCappingAliases:
 
 
 class TestSchedulerAliases:
-    def test_simulator_reactive_cap_w_warns(self):
-        with pytest.warns(DeprecationWarning, match="reactive_cap_w.*deprecated.*cap_w"):
-            sim = ClusterSimulator(4, FifoScheduler(), reactive_cap_w=5_000.0)
-        assert sim.cap_w == 5_000.0
-        assert sim.reactive_cap_w == 5_000.0
-
     def test_power_aware_power_budget_w_warns(self):
         with pytest.warns(DeprecationWarning, match="power_budget_w.*deprecated.*cap_w"):
             sched = PowerAwareScheduler(power_budget_w=40_000.0)

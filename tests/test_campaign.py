@@ -8,6 +8,7 @@ that certifies all of it.
 """
 
 import dataclasses
+import math
 import pickle
 
 import numpy as np
@@ -92,15 +93,15 @@ class TestScenarioSemantics:
 
     def test_every_grid_cell_is_core_invariant(self):
         """The campaign default (array core) matches an explicit
-        calendar-core run at *every* cell of the grid, digests and QoS
+        reference-core run at *every* cell of the grid, digests and QoS
         alike — pool results stay comparable across core choices."""
         default = run_campaign(CONFIG, GRID, processes=1)
-        calendar = run_campaign(
+        reference = run_campaign(
             CONFIG,
-            [dataclasses.replace(s, core="calendar") for s in GRID],
+            [dataclasses.replace(s, core="reference") for s in GRID],
             processes=1,
         )
-        for a, b in zip(default, calendar):
+        for a, b in zip(default, reference):
             assert a.digest == b.digest
             assert a.qos == b.qos
 
@@ -254,6 +255,16 @@ class TestValidation:
         # reference=True with core="reference" (or unset) is fine.
         Scenario(policy="fifo", reference=True, core="reference")
         Scenario(policy="fifo", reference=True)
+
+    @pytest.mark.parametrize("cap", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cap_fails_before_simulating(self, cap, monkeypatch):
+        def no_run(sim, jobs):
+            raise AssertionError("simulation ran with a non-finite cap")
+
+        monkeypatch.setattr(ClusterSimulator, "run", no_run)
+        with pytest.raises(ValueError, match="cap_w"):
+            run_campaign(CONFIG, [Scenario(policy="easy", cap_w=cap)],
+                         processes=1)
 
     def test_unknown_predictor_rejected(self):
         with pytest.raises(ValueError, match="unknown predictor"):

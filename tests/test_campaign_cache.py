@@ -10,12 +10,16 @@ field) lives in ``tests/diff_harness.py`` and is parametrized here.
 """
 
 import dataclasses
+import json
 
 import pytest
 
+from repro.runtime import loads
 from repro.scheduler import (
     CampaignConfig,
+    ClusterSimulator,
     DirectoryResultStore,
+    FifoScheduler,
     MemoryResultStore,
     Scenario,
     campaign_digest,
@@ -115,17 +119,32 @@ class TestHitAccounting:
         run_campaign(CONFIG, GRID_A, processes=1, cache=store)
         assert store.hits == len(GRID_A)
 
-    def test_distinct_cores_key_separately(self, store, count_runs):
-        """core is part of the key: pinning a different backend is a
-        distinct computation (cores are digest-identical, but the cache
-        never assumes a theorem it can re-derive per entry)."""
+    def test_core_resolver_default_and_retired_calendar(self, store, count_runs):
+        """One resolver picks the simulator backend.  The default is the
+        array core, and the retired event-calendar core's name warns and
+        resolves to it in the simulator, in a Scenario and in a config
+        file's ``campaign.core`` — so a calendar-spelled cell shares the
+        array cell's cache key and replays its entry."""
+        assert ClusterSimulator(4, FifoScheduler()).core == "array"
+        with pytest.warns(DeprecationWarning, match="calendar"):
+            sim = ClusterSimulator(4, FifoScheduler(), core="calendar")
+        assert sim.core == "array"
+        with pytest.warns(DeprecationWarning, match="calendar"):
+            calendar = Scenario(policy="easy", cap_w=CAP, core="calendar")
+        assert calendar.core == "array"
+        with pytest.warns(DeprecationWarning, match="calendar"):
+            cfg = loads(json.dumps({
+                "runtime": {"kind": "campaign"},
+                "machine": {"n_nodes": 8},
+                "campaign": {"core": "calendar", "cells": [{"policy": "easy"}]},
+            }), fmt="json")
+        assert cfg.campaign.core == "array"
         array = Scenario(policy="easy", cap_w=CAP, core="array")
-        calendar = Scenario(policy="easy", cap_w=CAP, core="calendar")
-        assert scenario_key(CONFIG, array) != scenario_key(CONFIG, calendar)
+        assert scenario_key(CONFIG, calendar) == scenario_key(CONFIG, array)
         a = run_campaign(CONFIG, [array], processes=1, cache=store)
         b = run_campaign(CONFIG, [calendar], processes=1, cache=store)
-        assert len(count_runs) == 2
-        assert a[0].digest == b[0].digest  # ...and the theorem still holds
+        assert len(count_runs) == 1
+        assert b[0].digest == a[0].digest
 
 
 class TestKeepResultsInteraction:

@@ -1,5 +1,7 @@
 """Tests for FIFO, EASY backfill and the power-aware dispatcher."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -151,7 +153,7 @@ class TestPowerAwareScheduler:
             45, PowerAwareScheduler(budget, predictor=oracle_predictor)
         ).run(jobs)
         reactive = ClusterSimulator(
-            45, EasyBackfillScheduler(), reactive_cap_w=budget
+            45, EasyBackfillScheduler(), cap_w=budget
         ).run(jobs)
         assert proactive.mean_stretch() == pytest.approx(1.0)
         assert reactive.mean_stretch() > 1.05
@@ -185,7 +187,7 @@ class TestReactiveCapping:
         stream = [job(i, 1, 100.0, submit=0.0, power=1900.0) for i in range(4)]
         uncapped = ClusterSimulator(4, FifoScheduler(), idle_node_power_w=300.0).run(stream)
         capped = ClusterSimulator(
-            4, FifoScheduler(), idle_node_power_w=300.0, reactive_cap_w=5000.0
+            4, FifoScheduler(), idle_node_power_w=300.0, cap_w=5000.0
         ).run(stream)
         assert uncapped.peak_power_w() == pytest.approx(4 * 1900.0)
         assert capped.peak_power_w() <= 5000.0 + 1e-6
@@ -194,7 +196,7 @@ class TestReactiveCapping:
 
     def test_cap_violation_fraction_zero_when_within_floor(self):
         stream = [job(0, 1, 100.0, power=1000.0)]
-        capped = ClusterSimulator(2, FifoScheduler(), reactive_cap_w=50e3).run(stream)
+        capped = ClusterSimulator(2, FifoScheduler(), cap_w=50e3).run(stream)
         assert capped.cap_violation_fraction() == 0.0
         assert capped.overdemand_s == 0.0
 
@@ -202,7 +204,7 @@ class TestReactiveCapping:
         # A cap below the controllable floor cannot be met.
         stream = [job(0, 2, 100.0, power=1900.0)]
         sim = ClusterSimulator(2, FifoScheduler(), idle_node_power_w=300.0,
-                               reactive_cap_w=700.0, min_speed=0.5)
+                               cap_w=700.0, min_speed=0.5)
         result = sim.run(stream)
         assert result.cap_violation_fraction() > 0.9
         assert result.records[0].stretch <= 2.0 + 1e-9
@@ -211,6 +213,18 @@ class TestReactiveCapping:
         with pytest.raises(ValueError):
             ClusterSimulator(0, FifoScheduler())
         with pytest.raises(ValueError):
-            ClusterSimulator(4, FifoScheduler(), reactive_cap_w=0.0)
+            ClusterSimulator(4, FifoScheduler(), cap_w=0.0)
         with pytest.raises(ValueError):
             ClusterSimulator(4, FifoScheduler(), min_speed=0.0)
+
+    @pytest.mark.parametrize("cap", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cap_rejected_before_simulating(self, cap, monkeypatch):
+        """A NaN cap would hang the array core and an infinite one would
+        stall it: both must fail at construction, naming cap_w, without
+        a simulation ever starting."""
+        def no_run(sim, jobs):
+            raise AssertionError("simulation ran with a non-finite cap")
+
+        monkeypatch.setattr(ClusterSimulator, "run", no_run)
+        with pytest.raises(ValueError, match="cap_w"):
+            ClusterSimulator(4, FifoScheduler(), cap_w=cap).run([job(0, 1, 100.0)])
