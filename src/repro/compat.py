@@ -1,56 +1,23 @@
-"""Keyword-spelling compatibility for the cross-layer naming cleanup.
+"""The shared unknown-keyword error path.
 
-The public constructors historically mixed spellings for the same three
-concepts — sampling cadence (``interval`` / ``control_period_s``), power
-ceiling (``budget_w`` / ``reactive_cap_w`` / ``setpoint_w``) and
-determinism (``rng_seed``).  The canonical spellings are now:
-
-* ``period_s`` — any fixed cadence, in seconds;
-* ``cap_w`` — any power ceiling, in watts;
-* ``seed`` — any determinism knob.
-
-Old spellings keep working for one release: they are remapped here and
-emit a :class:`DeprecationWarning` naming the replacement.
+Python callers and config files report a misspelt keyword the same way:
+every unknown name at once, in sorted order, optionally followed by the
+accepted spellings.  The config-file loader
+(:mod:`repro.runtime.models`) routes its unknown-key diagnostics
+through :func:`reject_unknown_kwargs`.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
-__all__ = ["rename_kwargs", "reject_unknown_kwargs", "pop_alias"]
-
-
-def rename_kwargs(
-    owner: str,
-    kwargs: dict[str, Any],
-    aliases: Mapping[str, str],
-    stacklevel: int = 3,
-) -> dict[str, Any]:
-    """Remap deprecated keyword spellings onto their canonical names.
-
-    ``kwargs`` is mutated in place and also returned.  Passing both the
-    old and the new spelling of the same parameter is an error (the call
-    would otherwise silently drop one of the two values).
-    """
-    for old, new in aliases.items():
-        if old not in kwargs:
-            continue
-        if new in kwargs:
-            raise TypeError(f"{owner}() got both {old!r} and its replacement {new!r}")
-        warnings.warn(
-            f"{owner}({old}=...) is deprecated; use {new}=... instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        kwargs[new] = kwargs.pop(old)
-    return kwargs
+__all__ = ["reject_unknown_kwargs"]
 
 
 def reject_unknown_kwargs(
     owner: str, kwargs: dict[str, Any], known: Sequence[str] = ()
 ) -> None:
-    """Raise the usual TypeError for kwargs left over after remapping.
+    """Raise the usual TypeError naming every leftover keyword.
 
     Every leftover name is reported, in sorted order — a call with three
     typos gets all three back at once instead of one arbitrary pick per
@@ -68,19 +35,3 @@ def reject_unknown_kwargs(
     if known:
         message += f" (known: {', '.join(sorted(known))})"
     raise TypeError(message)
-
-
-def pop_alias(owner: str, legacy: dict[str, Any], name: str, current: Any) -> Any:
-    """Resolve one canonical parameter after :func:`rename_kwargs`.
-
-    ``current`` is the value bound in the signature, whose default must
-    be ``None`` so that "not passed" is distinguishable; call sites
-    apply their real default afterwards.  Passing the canonical spelling
-    *and* a deprecated alias of it is an error rather than a silent
-    override.
-    """
-    if name not in legacy:
-        return current
-    if current is not None:
-        raise TypeError(f"{owner}() got both {name!r} and a deprecated alias for it")
-    return legacy.pop(name)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Any, Optional, Sequence
 
@@ -40,6 +41,15 @@ __all__ = ["main"]
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
+
+
+def _positive_seconds(text: str) -> float:
+    """argparse type for ``--until``: a bad value exits 2 at parse time."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number of seconds, got {text!r}")
+    return value
 
 
 def _row(label: str, value: Any) -> str:
@@ -225,7 +235,7 @@ def _parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a live cluster (kind='live')")
     run.add_argument("config", help="config file")
-    run.add_argument("--until", type=float, default=None,
+    run.add_argument("--until", type=_positive_seconds, default=None,
                      help="simulated seconds (default: [live].until_s)")
     run.set_defaults(fn=_cmd_run)
 

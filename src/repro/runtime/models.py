@@ -1,12 +1,23 @@
 """Typed sections of a runtime config file.
 
 A config file is a tree of tables (TOML) or objects (JSON); every table
-maps onto one frozen dataclass here, parsed by its ``from_dict``
-classmethod.  Parsing is strict on *names* — an unknown key or section
-raises through :func:`~repro.compat.reject_unknown_kwargs`, so the
-error lists every misspelling at once *and* the known fields — and
-strict on *types* (TOML already distinguishes ints, floats, booleans
-and strings; JSON configs are held to the same rules).
+maps onto one frozen dataclass here, and that dataclass's fields *are*
+its schema.  One field-driven parser (:meth:`_Section.from_dict`) reads
+off them the accepted keys, the required keys (fields without a
+default), the defaults and the value types — ``Optional[...]``,
+``tuple[X, ...]`` arrays, nested sections, and tables kept as ordered
+``(name, value)`` pairs.  A section adds only a small ``_check`` for
+what its types cannot express: ranges, registry names, cross-field
+rules.
+
+Parsing is strict on *names* — an unknown key or section raises through
+:func:`~repro.compat.reject_unknown_kwargs`, so the error lists every
+misspelling at once *and* the known fields — and strict on *types*
+(TOML already distinguishes ints, floats, booleans and strings; JSON
+configs are held to the same rules).  Every number must be finite: a
+``nan`` or ``inf`` (which TOML spells and :func:`json.loads` accepts)
+fails here, naming its ``<where>.<field>``, rather than hanging or
+crashing a run later.
 
 Component names are validated against the construction registries
 (:data:`~repro.scheduler.registries.POLICY_REGISTRY`,
@@ -19,14 +30,15 @@ a config file, and a typo'd name fails naming everything registered.
 ``None``-valued knobs and empty collections omitted (TOML has no null)
 and default-equal optional sections dropped.  ``from_dict ∘ to_dict``
 is the identity on parsed configs — the fixed point
-``tests/test_runtime.py`` pins.
+``tests/test_runtime.py`` pins for the whole file and for every section.
 """
 
-from __future__ import annotations
-
 import dataclasses
+import functools
+import math
+import typing
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional
+from typing import Any, Callable, Iterable, Mapping, Optional, Union
 
 from ..compat import reject_unknown_kwargs
 from ..scheduler.campaign import QOS_METRICS, Scenario
@@ -70,7 +82,7 @@ class ConfigError(ValueError):
 
 
 # --------------------------------------------------------------------------
-# parse helpers
+# value converters: (where, name, value) -> parsed value
 # --------------------------------------------------------------------------
 
 def _require_table(where: str, value: Any) -> Mapping[str, Any]:
@@ -113,96 +125,184 @@ def _as_int(where: str, name: str, value: Any) -> int:
 def _as_float(where: str, name: str, value: Any) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _bad(where, name, "a number", value)
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # a JSON integer past the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise _bad(where, name, "a finite number", value)
+    return number
+
+
+def _as_number(where: str, name: str, value: Any) -> Union[int, float]:
+    """A finite number that keeps its spelling (``1`` stays an int)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    return _as_float(where, name, value)
 
 
 def _as_scalar(where: str, name: str, value: Any) -> Any:
-    if isinstance(value, bool) or isinstance(value, (str, int, float)):
+    if isinstance(value, float):
+        return _as_float(where, name, value)
+    if isinstance(value, (str, int)):  # bool included
         return value
     raise _bad(where, name, "a scalar (string, number or boolean)", value)
 
 
-def _require(where: str, data: Mapping[str, Any], name: str) -> Any:
-    if name not in data:
-        raise ConfigError(f"[{where}] needs a {name!r} key")
-    return data[name]
+_SCALARS: dict[Any, Callable[[str, str, Any], Any]] = {
+    str: _as_str, bool: _as_bool, int: _as_int, float: _as_float,
+    Any: _as_scalar,
+}
 
 
-def _check_policy_name(where: str, name: str) -> str:
+def _converter(tp: Any) -> Callable[[str, str, Any], Any]:
+    """The parser for one field annotation, built once per class."""
+    if tp in _SCALARS:
+        return _SCALARS[tp]
+    if isinstance(tp, type) and issubclass(tp, _Section):
+        return lambda where, name, value: tp.from_dict(value, f"{where}.{name}")
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is Union:  # Optional[X]; Optional[int | float]
+        inner = [a for a in args if a is not type(None)]
+        convert = _as_number if len(inner) > 1 else _converter(inner[0])
+        return lambda where, name, value: (
+            None if value is None else convert(where, name, value))
+    item = args[0]  # tuple[X, ...]
+    if typing.get_origin(item) is tuple:
+        # tuple[tuple[str, X], ...]: a table, kept as ordered pairs so
+        # its declaration order survives the dump.
+        convert = _converter(typing.get_args(item)[1])
+
+        def pairs(where: str, name: str, value: Any) -> tuple:
+            path = f"{where}.{name}"
+            return tuple((key, convert(path, key, v))
+                         for key, v in _require_table(path, value).items())
+        return pairs
+    convert = _converter(item)
+
+    def array(where: str, name: str, value: Any) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise _bad(where, name, "an array", value)
+        return tuple(convert(where, f"{name}[{i}]", v)
+                     for i, v in enumerate(value))
+    return array
+
+
+@functools.cache
+def _schema(cls: type) -> dict[str, tuple[Callable, bool]]:
+    """``{field: (converter, required)}`` in field order.
+
+    The annotations are live objects (this module does not postpone
+    them), so a load inspects no type string.
+    """
+    return {f.name: (_converter(f.type), f.default is dataclasses.MISSING)
+            for f in dataclasses.fields(cls)}
+
+
+def _table(items: Iterable[tuple[str, Any]]) -> dict[str, Any]:
+    """Canonical table: ``None``, ``""`` and empty collections omitted.
+
+    TOML cannot spell null, so unset knobs are simply left out and
+    ``from_dict`` restores them as their defaults.  Empty tables inside
+    arrays are kept — an all-defaults campaign cell is still a grid
+    cell.
+    """
+    out = {}
+    for key, value in items:
+        value = _plain(value)
+        if value is None or (isinstance(value, (str, list, dict))
+                             and not value):
+            continue
+        out[key] = value
+    return out
+
+
+def _plain(value: Any) -> Any:
+    if isinstance(value, _Section):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        if value and isinstance(value[0], tuple):  # a table's pairs
+            return _table(value)
+        return [_plain(v) for v in value]
+    return value
+
+
+def _check_policy_name(where: str, name: str) -> None:
     if name not in POLICY_REGISTRY:
         raise ConfigError(
             f"{where}: unknown policy {name!r}; "
             f"registered: {POLICY_REGISTRY.names()}"
         )
-    return name
 
 
-def _check_core(where: str, name: str) -> str:
+def _with_core(section: Any, where: str) -> Any:
+    """``section`` with its ``core`` stored resolved (``None`` stays)."""
+    if section.core is None:
+        return None
     try:
-        return resolve_core(name)
+        core = resolve_core(section.core)
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+        raise ConfigError(f"{where}.core: {exc}") from None
+    return dataclasses.replace(section, core=core)
 
 
-def _clean(value: Any) -> Any:
-    """Drop ``None`` / empty-string / empty-sequence values from tables.
-
-    TOML cannot spell null, so the canonical form simply omits unset
-    knobs; ``from_dict`` restores them as their defaults.  Empty tables
-    inside arrays are kept — an all-defaults campaign cell is still a
-    grid cell.
-    """
-    if isinstance(value, Mapping):
-        out = {}
-        for key, v in value.items():
-            v = _clean(v)
-            if v is None or (isinstance(v, (str, list, tuple, dict))
-                             and not v):
-                continue
-            out[key] = v
-        return out
-    if isinstance(value, (list, tuple)):
-        return [_clean(v) for v in value]
-    return value
+def _nonempty(where: str, name: str, value: tuple) -> None:
+    if not value:
+        raise _bad(where, name, "a non-empty array", list(value))
 
 
 # --------------------------------------------------------------------------
 # sections
 # --------------------------------------------------------------------------
 
+class _Section:
+    """Base of every config table: the dataclass fields are the schema."""
+
+    @classmethod
+    def from_dict(cls, data: Any, where: Optional[str] = None) -> Any:
+        """Parse one table; ``where`` (default: the table the class is
+        named after) prefixes every error."""
+        if where is None:
+            where = cls.__name__.removesuffix("Section").removesuffix(
+                "Spec").lower()
+        data = _require_table(where, data)
+        schema = _schema(cls)
+        _check_keys(where, data, tuple(schema))
+        values = {}
+        for name, (convert, required) in schema.items():
+            if name in data:
+                values[name] = convert(where, name, data[name])
+            elif required:
+                raise ConfigError(f"[{where}] needs a {name!r} key")
+        section = cls(**values)
+        return section._check(where) or section
+
+    def _check(self, where: str) -> Any:
+        """Validate what the field types cannot express; may return a
+        normalized copy to store instead."""
+
+    def to_dict(self) -> dict[str, Any]:
+        return _table((f.name, getattr(self, f.name))
+                      for f in dataclasses.fields(self))
+
+
 @dataclass(frozen=True)
-class RuntimeSection:
+class RuntimeSection(_Section):
     """``[runtime]`` — what this file describes."""
 
     kind: str
     name: str = ""
     description: str = ""
 
-    _KEYS = ("kind", "name", "description")
-
-    @classmethod
-    def from_dict(cls, data: Any, where: str = "runtime") -> "RuntimeSection":
-        data = _require_table(where, data)
-        _check_keys(where, data, cls._KEYS)
-        kind = _as_str(where, "kind", _require(where, data, "kind"))
-        if kind not in KINDS:
+    def _check(self, where: str) -> None:
+        if self.kind not in KINDS:
             raise ConfigError(
-                f"{where}.kind must be one of {KINDS}, got {kind!r}"
+                f"{where}.kind must be one of {KINDS}, got {self.kind!r}"
             )
-        return cls(
-            kind=kind,
-            name=_as_str(where, "name", data.get("name", "")),
-            description=_as_str(where, "description",
-                                data.get("description", "")),
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"kind": self.kind, "name": self.name,
-                "description": self.description}
 
 
 @dataclass(frozen=True)
-class MachineSection:
+class MachineSection(_Section):
     """``[machine]`` — the cluster shape and its power model knobs."""
 
     n_nodes: int
@@ -210,38 +310,15 @@ class MachineSection:
     speed_exponent: float = 0.75
     min_speed: float = 0.3
 
-    _KEYS = ("n_nodes", "idle_node_power_w", "speed_exponent", "min_speed")
-
-    @classmethod
-    def from_dict(cls, data: Any, where: str = "machine") -> "MachineSection":
-        data = _require_table(where, data)
-        _check_keys(where, data, cls._KEYS)
-        n_nodes = _as_int(where, "n_nodes", _require(where, data, "n_nodes"))
-        if n_nodes < 1:
+    def _check(self, where: str) -> None:
+        if self.n_nodes < 1:
             raise ConfigError(f"{where}.n_nodes must be positive")
-        min_speed = _as_float(where, "min_speed", data.get("min_speed", 0.3))
-        if not 0.0 < min_speed <= 1.0:
+        if not 0.0 < self.min_speed <= 1.0:
             raise ConfigError(f"{where}.min_speed must lie in (0, 1]")
-        return cls(
-            n_nodes=n_nodes,
-            idle_node_power_w=_as_float(where, "idle_node_power_w",
-                                        data.get("idle_node_power_w", 300.0)),
-            speed_exponent=_as_float(where, "speed_exponent",
-                                     data.get("speed_exponent", 0.75)),
-            min_speed=min_speed,
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "n_nodes": self.n_nodes,
-            "idle_node_power_w": self.idle_node_power_w,
-            "speed_exponent": self.speed_exponent,
-            "min_speed": self.min_speed,
-        }
 
 
 @dataclass(frozen=True)
-class WorkloadSection:
+class WorkloadSection(_Section):
     """``[workload]`` — the job stream: generator name, size, seed."""
 
     generator: str = "davide"
@@ -249,43 +326,20 @@ class WorkloadSection:
     load_factor: float = 0.85
     seed: int = 0
 
-    _KEYS = ("generator", "n_jobs", "load_factor", "seed")
-
-    @classmethod
-    def from_dict(cls, data: Any, where: str = "workload") -> "WorkloadSection":
-        data = _require_table(where, data)
-        _check_keys(where, data, cls._KEYS)
-        generator = _as_str(where, "generator", data.get("generator", "davide"))
-        if generator not in WORKLOAD_REGISTRY:
+    def _check(self, where: str) -> None:
+        if self.generator not in WORKLOAD_REGISTRY:
             raise ConfigError(
-                f"{where}.generator: unknown workload {generator!r}; "
+                f"{where}.generator: unknown workload {self.generator!r}; "
                 f"registered: {WORKLOAD_REGISTRY.names()}"
             )
-        n_jobs = _as_int(where, "n_jobs", data.get("n_jobs", 100))
-        if n_jobs < 1:
+        if self.n_jobs < 1:
             raise ConfigError(f"{where}.n_jobs must be positive")
-        load_factor = _as_float(where, "load_factor",
-                                data.get("load_factor", 0.85))
-        if load_factor <= 0.0:
+        if self.load_factor <= 0.0:
             raise ConfigError(f"{where}.load_factor must be positive")
-        return cls(
-            generator=generator,
-            n_jobs=n_jobs,
-            load_factor=load_factor,
-            seed=_as_int(where, "seed", data.get("seed", 0)),
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "generator": self.generator,
-            "n_jobs": self.n_jobs,
-            "load_factor": self.load_factor,
-            "seed": self.seed,
-        }
 
 
 @dataclass(frozen=True)
-class PolicySection:
+class PolicySection(_Section):
     """``[policy]`` — scheduling defaults every campaign cell inherits."""
 
     name: str = "fifo"
@@ -295,46 +349,12 @@ class PolicySection:
     dvfs_floor: Optional[float] = None
     fairshare_decay: Optional[float] = None
 
-    _KEYS = ("name", "predictor", "train_fraction", "backfill_depth",
-             "dvfs_floor", "fairshare_decay")
-
-    @classmethod
-    def from_dict(cls, data: Any, where: str = "policy") -> "PolicySection":
-        data = _require_table(where, data)
-        _check_keys(where, data, cls._KEYS)
-        name = _check_policy_name(
-            f"{where}.name", _as_str(where, "name", data.get("name", "fifo"))
-        )
-        depth = data.get("backfill_depth")
-        floor = data.get("dvfs_floor")
-        decay = data.get("fairshare_decay")
-        return cls(
-            name=name,
-            predictor=_as_str(where, "predictor",
-                              data.get("predictor", "oracle")),
-            train_fraction=_as_float(where, "train_fraction",
-                                     data.get("train_fraction", 0.0)),
-            backfill_depth=(None if depth is None
-                            else _as_int(where, "backfill_depth", depth)),
-            dvfs_floor=(None if floor is None
-                        else _as_float(where, "dvfs_floor", floor)),
-            fairshare_decay=(None if decay is None
-                             else _as_float(where, "fairshare_decay", decay)),
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "predictor": self.predictor,
-            "train_fraction": self.train_fraction,
-            "backfill_depth": self.backfill_depth,
-            "dvfs_floor": self.dvfs_floor,
-            "fairshare_decay": self.fairshare_decay,
-        }
+    def _check(self, where: str) -> None:
+        _check_policy_name(f"{where}.name", self.name)
 
 
 @dataclass(frozen=True)
-class CapSection:
+class CapSection(_Section):
     """``[cap]`` — the power envelope.
 
     ``cap_w``/``budget_w`` are the reactive/proactive ceilings campaign
@@ -347,96 +367,40 @@ class CapSection:
     hysteresis_w: float = 25.0
     actuation_delay_s: float = 0.01
 
-    _KEYS = ("cap_w", "budget_w", "hysteresis_w", "actuation_delay_s")
-
-    @classmethod
-    def from_dict(cls, data: Any, where: str = "cap") -> "CapSection":
-        data = _require_table(where, data)
-        _check_keys(where, data, cls._KEYS)
-        cap = data.get("cap_w")
-        budget = data.get("budget_w")
-        return cls(
-            cap_w=None if cap is None else _as_float(where, "cap_w", cap),
-            budget_w=(None if budget is None
-                      else _as_float(where, "budget_w", budget)),
-            hysteresis_w=_as_float(where, "hysteresis_w",
-                                   data.get("hysteresis_w", 25.0)),
-            actuation_delay_s=_as_float(where, "actuation_delay_s",
-                                        data.get("actuation_delay_s", 0.01)),
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "cap_w": self.cap_w,
-            "budget_w": self.budget_w,
-            "hysteresis_w": self.hysteresis_w,
-            "actuation_delay_s": self.actuation_delay_s,
-        }
-
 
 @dataclass(frozen=True)
-class OutageSpec:
+class OutageSpec(_Section):
     """One ``[[outage]]`` entry: a node failure + repair window."""
 
     at_s: float
     node_id: int
     duration_s: float
 
-    _KEYS = ("at_s", "node_id", "duration_s")
-
-    @classmethod
-    def from_dict(cls, data: Any, where: str = "outage") -> "OutageSpec":
-        data = _require_table(where, data)
-        _check_keys(where, data, cls._KEYS)
-        spec = cls(
-            at_s=_as_float(where, "at_s", _require(where, data, "at_s")),
-            node_id=_as_int(where, "node_id", _require(where, data, "node_id")),
-            duration_s=_as_float(where, "duration_s",
-                                 _require(where, data, "duration_s")),
-        )
+    def _check(self, where: str) -> None:
         try:
-            spec.to_outage()
+            self.to_outage()
         except ValueError as exc:
             raise ConfigError(f"[{where}]: {exc}") from None
-        return spec
 
     def to_outage(self) -> NodeOutage:
         return NodeOutage(at_s=self.at_s, node_id=self.node_id,
                           duration_s=self.duration_s)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"at_s": self.at_s, "node_id": self.node_id,
-                "duration_s": self.duration_s}
-
 
 @dataclass(frozen=True)
-class ObservabilitySection:
+class ObservabilitySection(_Section):
     """``[observability]`` — metrics + tracing for the built artifact."""
 
     enabled: bool = False
     max_spans: int = 65536
 
-    _KEYS = ("enabled", "max_spans")
-
-    @classmethod
-    def from_dict(cls, data: Any,
-                  where: str = "observability") -> "ObservabilitySection":
-        data = _require_table(where, data)
-        _check_keys(where, data, cls._KEYS)
-        max_spans = _as_int(where, "max_spans", data.get("max_spans", 65536))
-        if max_spans < 1:
+    def _check(self, where: str) -> None:
+        if self.max_spans < 1:
             raise ConfigError(f"{where}.max_spans must be positive")
-        return cls(
-            enabled=_as_bool(where, "enabled", data.get("enabled", False)),
-            max_spans=max_spans,
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"enabled": self.enabled, "max_spans": self.max_spans}
 
 
 @dataclass(frozen=True)
-class LiveSection:
+class LiveSection(_Section):
     """``[live]`` — kernel run length and telemetry plane knobs."""
 
     until_s: float = 10.0
@@ -445,37 +409,13 @@ class LiveSection:
     batched: bool = False
     seed: int = 0
 
-    _KEYS = ("until_s", "period_s", "sensor_noise_w", "batched", "seed")
-
-    @classmethod
-    def from_dict(cls, data: Any, where: str = "live") -> "LiveSection":
-        data = _require_table(where, data)
-        _check_keys(where, data, cls._KEYS)
-        until_s = _as_float(where, "until_s", data.get("until_s", 10.0))
-        period_s = _as_float(where, "period_s", data.get("period_s", 0.1))
-        if until_s <= 0.0 or period_s <= 0.0:
+    def _check(self, where: str) -> None:
+        if self.until_s <= 0.0 or self.period_s <= 0.0:
             raise ConfigError(f"{where}: until_s and period_s must be positive")
-        return cls(
-            until_s=until_s,
-            period_s=period_s,
-            sensor_noise_w=_as_float(where, "sensor_noise_w",
-                                     data.get("sensor_noise_w", 2.0)),
-            batched=_as_bool(where, "batched", data.get("batched", False)),
-            seed=_as_int(where, "seed", data.get("seed", 0)),
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "until_s": self.until_s,
-            "period_s": self.period_s,
-            "sensor_noise_w": self.sensor_noise_w,
-            "batched": self.batched,
-            "seed": self.seed,
-        }
 
 
 @dataclass(frozen=True)
-class CellSpec:
+class CellSpec(_Section):
     """One ``[[campaign.cells]]`` entry — a partial scenario.
 
     Unset knobs (``None``) inherit from ``[policy]`` / ``[cap]`` /
@@ -496,64 +436,14 @@ class CellSpec:
     core: Optional[str] = None
     outages: tuple[OutageSpec, ...] = ()
 
-    _KEYS = ("label", "policy", "cap_w", "budget_w", "predictor",
-             "train_fraction", "backfill_depth", "dvfs_floor",
-             "fairshare_decay", "core", "outages")
-
-    @classmethod
-    def from_dict(cls, data: Any, where: str = "campaign.cells") -> "CellSpec":
-        data = _require_table(where, data)
-        _check_keys(where, data, cls._KEYS)
-
-        def opt(name: str, conv) -> Any:
-            value = data.get(name)
-            return None if value is None else conv(where, name, value)
-
-        policy = opt("policy", _as_str)
-        if policy is not None:
-            _check_policy_name(f"{where}.policy", policy)
-        core = opt("core", _as_str)
-        if core is not None:
-            core = _check_core(f"{where}.core", core)
-        raw_outages = data.get("outages", [])
-        if not isinstance(raw_outages, (list, tuple)):
-            raise _bad(where, "outages", "an array of tables", raw_outages)
-        outages = tuple(
-            OutageSpec.from_dict(o, where=f"{where}.outages[{i}]")
-            for i, o in enumerate(raw_outages)
-        )
-        return cls(
-            label=_as_str(where, "label", data.get("label", "")),
-            policy=policy,
-            cap_w=opt("cap_w", _as_float),
-            budget_w=opt("budget_w", _as_float),
-            predictor=opt("predictor", _as_str),
-            train_fraction=opt("train_fraction", _as_float),
-            backfill_depth=opt("backfill_depth", _as_int),
-            dvfs_floor=opt("dvfs_floor", _as_float),
-            fairshare_decay=opt("fairshare_decay", _as_float),
-            core=core,
-            outages=outages,
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "label": self.label,
-            "policy": self.policy,
-            "cap_w": self.cap_w,
-            "budget_w": self.budget_w,
-            "predictor": self.predictor,
-            "train_fraction": self.train_fraction,
-            "backfill_depth": self.backfill_depth,
-            "dvfs_floor": self.dvfs_floor,
-            "fairshare_decay": self.fairshare_decay,
-            "core": self.core,
-            "outages": [o.to_dict() for o in self.outages],
-        }
+    def _check(self, where: str) -> Any:
+        if self.policy is not None:
+            _check_policy_name(f"{where}.policy", self.policy)
+        return _with_core(self, where)
 
 
 @dataclass(frozen=True)
-class CampaignSection:
+class CampaignSection(_Section):
     """``[campaign]`` — the seed list and the cell grid.
 
     ``build()`` enumerates the grid seed-outer / cell-inner (every cell
@@ -566,95 +456,67 @@ class CampaignSection:
     seeds: tuple[int, ...] = (0,)
     core: Optional[str] = None
 
-    _KEYS = ("cells", "seeds", "core")
-
-    @classmethod
-    def from_dict(cls, data: Any, where: str = "campaign") -> "CampaignSection":
-        data = _require_table(where, data)
-        _check_keys(where, data, cls._KEYS)
-        raw_cells = _require(where, data, "cells")
-        if not isinstance(raw_cells, (list, tuple)) or not raw_cells:
-            raise ConfigError(
-                f"{where}.cells must be a non-empty array of tables "
-                f"([[campaign.cells]])"
-            )
-        cells = tuple(
-            CellSpec.from_dict(c, where=f"{where}.cells[{i}]")
-            for i, c in enumerate(raw_cells)
-        )
-        raw_seeds = data.get("seeds", [0])
-        if not isinstance(raw_seeds, (list, tuple)) or not raw_seeds:
-            raise _bad(where, "seeds", "a non-empty array of integers",
-                       raw_seeds)
-        seeds = tuple(
-            _as_int(where, f"seeds[{i}]", s) for i, s in enumerate(raw_seeds)
-        )
-        core = data.get("core")
-        if core is not None:
-            core = _check_core(f"{where}.core",
-                               _as_str(where, "core", core))
-        return cls(cells=cells, seeds=seeds, core=core)
+    def _check(self, where: str) -> Any:
+        _nonempty(where, "cells", self.cells)
+        _nonempty(where, "seeds", self.seeds)
+        return _with_core(self, where)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "seeds": list(self.seeds),
-            "core": self.core,
-            "cells": [c.to_dict() for c in self.cells],
-        }
+        # Dumps keep the grid knobs ahead of the cells.
+        data = super().to_dict()
+        return {k: data[k] for k in ("seeds", "core", "cells") if k in data}
 
 
 @dataclass(frozen=True)
-class KnobSpec:
-    """One ``[exploration.space.<name>]`` knob domain."""
+class KnobSpec(_Section):
+    """One ``[exploration.space.<name>]`` knob domain.
+
+    ``categorical`` knobs take ``choices``; ``integer`` and
+    ``continuous`` ones take ``lo``/``hi`` (integers, resp. numbers
+    stored as floats).
+    """
 
     type: str
-    lo: Optional[float] = None
-    hi: Optional[float] = None
+    lo: Optional[Union[int, float]] = None
+    hi: Optional[Union[int, float]] = None
     choices: tuple[Any, ...] = ()
 
-    _KEYS = ("type", "lo", "hi", "choices")
-
-    @classmethod
-    def from_dict(cls, data: Any, where: str = "exploration.space") -> "KnobSpec":
-        data = _require_table(where, data)
-        _check_keys(where, data, cls._KEYS)
-        kind = _as_str(where, "type", _require(where, data, "type"))
+    def _check(self, where: str) -> Any:
+        kind = self.type
         if kind not in KNOB_TYPES:
             raise ConfigError(
                 f"{where}.type must be one of {KNOB_TYPES}, got {kind!r}"
             )
         if kind == "categorical":
-            if "lo" in data or "hi" in data:
+            if self.lo is not None or self.hi is not None:
                 raise ConfigError(
                     f"{where}: categorical knobs take 'choices', not lo/hi"
                 )
-            raw = _require(where, data, "choices")
-            if not isinstance(raw, (list, tuple)) or not raw:
-                raise _bad(where, "choices", "a non-empty array", raw)
-            choices = tuple(
-                _as_scalar(where, f"choices[{i}]", c)
-                for i, c in enumerate(raw)
-            )
-            return cls(type=kind, choices=choices)
-        if "choices" in data:
+            _nonempty(where, "choices", self.choices)
+            return None
+        if self.choices:
             raise ConfigError(
                 f"{where}: {kind} knobs take lo/hi, not 'choices'"
             )
-        number = _as_int if kind == "integer" else _as_float
-        lo = number(where, "lo", _require(where, data, "lo"))
-        hi = number(where, "hi", _require(where, data, "hi"))
-        if (kind == "continuous" and not lo < hi) or (
-                kind == "integer" and not lo <= hi):
-            raise ConfigError(f"{where}: empty range [lo={lo}, hi={hi}]")
-        return cls(type=kind, lo=lo, hi=hi)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"type": self.type, "lo": self.lo, "hi": self.hi,
-                "choices": list(self.choices)}
+        for name in ("lo", "hi"):
+            value = getattr(self, name)
+            if value is None:
+                raise ConfigError(f"[{where}] needs a {name!r} key")
+            if kind == "integer" and not isinstance(value, int):
+                raise _bad(where, name, "an integer", value)
+        knob = self
+        if kind == "continuous":
+            knob = dataclasses.replace(self, lo=float(self.lo),
+                                       hi=float(self.hi))
+        if not (knob.lo < knob.hi if kind == "continuous"
+                else knob.lo <= knob.hi):
+            raise ConfigError(
+                f"{where}: empty range [lo={knob.lo}, hi={knob.hi}]")
+        return knob
 
 
 @dataclass(frozen=True)
-class ObjectiveSpec:
+class ObjectiveSpec(_Section):
     """``[exploration.objective]`` — QoS metrics, weights, and sense."""
 
     metrics: tuple[str, ...]
@@ -662,55 +524,24 @@ class ObjectiveSpec:
     sense: str = "min"
     name: str = ""
 
-    _KEYS = ("metrics", "weights", "sense", "name")
-
-    @classmethod
-    def from_dict(cls, data: Any,
-                  where: str = "exploration.objective") -> "ObjectiveSpec":
-        data = _require_table(where, data)
-        _check_keys(where, data, cls._KEYS)
-        raw_metrics = _require(where, data, "metrics")
-        if not isinstance(raw_metrics, (list, tuple)) or not raw_metrics:
-            raise _bad(where, "metrics", "a non-empty array of metric names",
-                       raw_metrics)
-        metrics = tuple(
-            _as_str(where, f"metrics[{i}]", m)
-            for i, m in enumerate(raw_metrics)
-        )
-        unknown = [m for m in metrics if m not in QOS_METRICS]
+    def _check(self, where: str) -> None:
+        _nonempty(where, "metrics", self.metrics)
+        unknown = [m for m in self.metrics if m not in QOS_METRICS]
         if unknown:
             raise ConfigError(
                 f"{where}.metrics: unknown metric(s) {unknown}; "
                 f"known: {QOS_METRICS}"
             )
-        raw_weights = data.get("weights", [])
-        if not isinstance(raw_weights, (list, tuple)):
-            raise _bad(where, "weights", "an array of numbers", raw_weights)
-        weights = tuple(
-            _as_float(where, f"weights[{i}]", w)
-            for i, w in enumerate(raw_weights)
-        )
-        if weights and len(weights) != len(metrics):
+        if self.weights and len(self.weights) != len(self.metrics):
             raise ConfigError(
                 f"{where}: need one weight per metric (or none at all)"
             )
-        sense = _as_str(where, "sense", data.get("sense", "min"))
-        if sense not in ("min", "max"):
+        if self.sense not in ("min", "max"):
             raise ConfigError(f"{where}.sense must be 'min' or 'max'")
-        return cls(metrics=metrics, weights=weights, sense=sense,
-                   name=_as_str(where, "name", data.get("name", "")))
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "metrics": list(self.metrics),
-            "weights": list(self.weights),
-            "sense": self.sense,
-            "name": self.name,
-        }
 
 
 @dataclass(frozen=True)
-class ExplorationSection:
+class ExplorationSection(_Section):
     """``[exploration]`` — searcher, budget, knob space, objective, base."""
 
     space: tuple[tuple[str, KnobSpec], ...]
@@ -722,91 +553,61 @@ class ExplorationSection:
     #: kept as ordered pairs (tables stay order-stable through dump).
     base: tuple[tuple[str, Any], ...] = ()
 
-    _KEYS = ("space", "objective", "searcher", "budget", "seed", "base")
-
-    @classmethod
-    def from_dict(cls, data: Any,
-                  where: str = "exploration") -> "ExplorationSection":
-        data = _require_table(where, data)
-        _check_keys(where, data, cls._KEYS)
-
-        searcher = _as_str(where, "searcher", data.get("searcher", "random"))
+    def _check(self, where: str) -> None:
         import repro.explore  # noqa: F401  (populates SEARCHER_REGISTRY)
-        if searcher not in SEARCHER_REGISTRY:
+        if self.searcher not in SEARCHER_REGISTRY:
             raise ConfigError(
-                f"{where}.searcher: unknown searcher {searcher!r}; "
+                f"{where}.searcher: unknown searcher {self.searcher!r}; "
                 f"registered: {SEARCHER_REGISTRY.names()}"
             )
-        budget = _as_int(where, "budget", data.get("budget", 16))
-        if budget < 1:
+        if self.budget < 1:
             raise ConfigError(f"{where}.budget must be positive")
-
-        raw_space = _require_table(
-            f"{where}.space", _require(where, data, "space"))
-        if not raw_space:
+        if not self.space:
             raise ConfigError(f"[{where}.space] needs at least one knob")
-        space = tuple(
-            (name, KnobSpec.from_dict(spec, where=f"{where}.space.{name}"))
-            for name, spec in raw_space.items()
-        )
-
-        raw_base = data.get("base", {})
-        raw_base = _require_table(f"{where}.base", raw_base)
-        unknown = {k: v for k, v in raw_base.items()
-                   if k not in _SCENARIO_FIELDS}
+        base = dict(self.base)
+        unknown = {k: v for k, v in base.items() if k not in _SCENARIO_FIELDS}
         reject_unknown_kwargs(f"{where}.base", unknown,
                               known=_SCENARIO_FIELDS)
-        base = tuple(
-            (name, _as_scalar(f"{where}.base", name, value))
-            for name, value in raw_base.items()
-        )
-
-        knob_names = {name for name, _ in space}
-        overlap = knob_names & {name for name, _ in base}
+        knob_names = {name for name, _ in self.space}
+        overlap = knob_names & set(base)
         if overlap:
             raise ConfigError(
                 f"{where}: {sorted(overlap)} appear in both the space and "
                 f"the base; pick one"
             )
-        if "policy" not in knob_names and "policy" not in dict(base):
+        if "policy" not in knob_names and "policy" not in base:
             raise ConfigError(
                 f"{where}: scenarios need a policy — add a 'policy' knob to "
                 f"the space or set base.policy"
             )
 
-        return cls(
-            space=space,
-            objective=ObjectiveSpec.from_dict(
-                _require(where, data, "objective"),
-                where=f"{where}.objective"),
-            searcher=searcher,
-            budget=budget,
-            seed=_as_int(where, "seed", data.get("seed", 0)),
-            base=base,
-        )
-
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "searcher": self.searcher,
-            "budget": self.budget,
-            "seed": self.seed,
-            "space": {name: spec.to_dict() for name, spec in self.space},
-            "objective": self.objective.to_dict(),
-            "base": dict(self.base),
-        }
+        # Dumps keep the search knobs ahead of the space and objective.
+        data = super().to_dict()
+        return {k: data[k] for k in ("searcher", "budget", "seed", "space",
+                                     "objective", "base") if k in data}
 
 
 # --------------------------------------------------------------------------
 # the whole file
 # --------------------------------------------------------------------------
 
-#: Which sections may appear for each runtime kind (beyond the shared
-#: machine/workload/policy/cap/outage/observability set).
+# Build every section's converter table at import: a load then only
+# parses, and an annotation the parser cannot read fails here.
+for _cls in _Section.__subclasses__():
+    _schema(_cls)
+
+#: The section each runtime kind adds to the shared ones.
 _KIND_SECTIONS = {
-    "live": ("live",),
-    "campaign": ("campaign",),
-    "exploration": ("exploration",),
+    "live": LiveSection,
+    "campaign": CampaignSection,
+    "exploration": ExplorationSection,
 }
+
+
+def _file_key(field: str) -> str:
+    """The table name a field is spelled as in a file."""
+    return "outage" if field == "outages" else field
 
 
 @dataclass(frozen=True)
@@ -829,14 +630,11 @@ class RuntimeConfig:
     exploration: Optional[ExplorationSection] = None
     live: Optional[LiveSection] = None
 
-    _SECTIONS = ("runtime", "machine", "workload", "policy", "cap", "outage",
-                 "observability", "campaign", "exploration", "live")
-
     @classmethod
     def from_dict(cls, data: Any) -> "RuntimeConfig":
         data = _require_table("config", data)
-        _check_keys("config", data, cls._SECTIONS)
-
+        _check_keys("config", data,
+                    tuple(_file_key(f.name) for f in dataclasses.fields(cls)))
         if "runtime" not in data:
             raise ConfigError(
                 f"config needs a [runtime] section declaring its kind "
@@ -845,88 +643,46 @@ class RuntimeConfig:
         runtime = RuntimeSection.from_dict(data["runtime"])
         if "machine" not in data:
             raise ConfigError("config needs a [machine] section")
-        machine = MachineSection.from_dict(data["machine"])
 
         kind = runtime.kind
-        for other_kind, sections in _KIND_SECTIONS.items():
-            if other_kind == kind:
-                continue
-            for section in sections:
-                if section in data:
-                    raise ConfigError(
-                        f"[{section}] is only valid for kind = "
-                        f"{other_kind!r} (this config is {kind!r})"
-                    )
+        for other in KINDS:
+            if other != kind and other in data:
+                raise ConfigError(
+                    f"[{other}] is only valid for kind = {other!r} "
+                    f"(this config is {kind!r})"
+                )
+        if kind != "live" and kind not in data:
+            article = "an" if kind == "exploration" else "a"
+            raise ConfigError(f"kind = {kind!r} needs {article} [{kind}] section")
         raw_outages = data.get("outage", [])
         if not isinstance(raw_outages, (list, tuple)):
             raise ConfigError(
                 "[[outage]] must be an array of tables, got "
                 f"{type(raw_outages).__name__}"
             )
-        outages = tuple(
-            OutageSpec.from_dict(o, where=f"outage[{i}]")
-            for i, o in enumerate(raw_outages)
-        )
-
-        campaign = exploration = live = None
-        if kind == "campaign":
-            if "campaign" not in data:
-                raise ConfigError(
-                    "kind = 'campaign' needs a [campaign] section"
-                )
-            campaign = CampaignSection.from_dict(data["campaign"])
-        elif kind == "exploration":
-            if "exploration" not in data:
-                raise ConfigError(
-                    "kind = 'exploration' needs an [exploration] section"
-                )
-            exploration = ExplorationSection.from_dict(data["exploration"])
-        else:
-            live = LiveSection.from_dict(data.get("live", {}))
-
         return cls(
             runtime=runtime,
-            machine=machine,
+            machine=MachineSection.from_dict(data["machine"]),
             workload=WorkloadSection.from_dict(data.get("workload", {})),
             policy=PolicySection.from_dict(data.get("policy", {})),
             cap=CapSection.from_dict(data.get("cap", {})),
-            outages=outages,
+            outages=tuple(OutageSpec.from_dict(o, f"outage[{i}]")
+                          for i, o in enumerate(raw_outages)),
             observability=ObservabilitySection.from_dict(
                 data.get("observability", {})),
-            campaign=campaign,
-            exploration=exploration,
-            live=live,
+            **{kind: _KIND_SECTIONS[kind].from_dict(data.get(kind, {}))},
         )
 
     def to_dict(self) -> dict[str, Any]:
         """The canonical plain-data form (``from_dict``'s fixed point).
 
-        Optional sections equal to their all-defaults parse are omitted,
-        as are ``None`` knobs and empty collections — TOML has no null,
-        and ``from_dict`` restores every omission as its default.
+        Sections equal to their defaults are omitted, as are ``None``
+        knobs and empty collections — TOML has no null, and
+        ``from_dict`` restores every omission as its default.
         """
-        sections: dict[str, Any] = {
-            "runtime": self.runtime.to_dict(),
-            "machine": self.machine.to_dict(),
-            "workload": (None if self.workload == WorkloadSection()
-                         else self.workload.to_dict()),
-            "policy": (None if self.policy == PolicySection()
-                       else self.policy.to_dict()),
-            "cap": (None if self.cap == CapSection()
-                    else self.cap.to_dict()),
-            "outage": [o.to_dict() for o in self.outages],
-            "observability": (
-                None if self.observability == ObservabilitySection()
-                else self.observability.to_dict()),
-            "campaign": None if self.campaign is None else self.campaign.to_dict(),
-            "exploration": (None if self.exploration is None
-                            else self.exploration.to_dict()),
-            "live": None if self.live is None else self.live.to_dict(),
-        }
-        out: dict[str, Any] = {}
-        for name, value in sections.items():
-            value = _clean(value)
-            if value is None or value == []:
-                continue
-            out[name] = value
-        return out
+        items = []
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            items.append((_file_key(f.name),
+                          None if value == f.default else value))
+        return _table(items)

@@ -9,8 +9,8 @@ memo table.  Three pieces:
   outages).  Two specs that would run the identical simulation map to
   the identical key even when they are spelled differently —
   ``budget_w=None`` with a cap vs the budget written out,
-  ``"nameplate"`` vs ``"nameplate:2000.0"``, ``reference=True`` vs
-  ``core="reference"``, a retired core name vs the core it resolves to
+  ``"nameplate"`` vs ``"nameplate:2000.0"``, ``core=None`` vs
+  ``core="array"``, a retired core name vs the core it resolves to
   — and cosmetic fields (``label``) are excluded.
   The derivation is pure data (sorted-key canonical JSON → SHA-256):
   no ``repr``, no ``id()``, no interpreter hash seed, so keys are
@@ -37,6 +37,7 @@ memo table.  Three pieces:
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -126,7 +127,7 @@ def _canonical_scenario(
     """
     policy = str(scenario.policy)
     cap = scenario.cap_w
-    core = resolve_core(scenario.core, scenario.reference)
+    core = resolve_core(scenario.core)
     entry: dict[str, Any] = {
         "policy": policy,
         "seed_index": int(scenario.seed_index),
@@ -228,29 +229,22 @@ def scenario_key(config: "CampaignConfig", scenario: "Scenario") -> str:
 
 def _scenario_to_dict(scenario: "Scenario") -> dict[str, Any]:
     """The literal (non-canonicalized) spec, for faithful reconstruction."""
-    return {
-        "policy": scenario.policy,
-        "cap_w": scenario.cap_w,
-        "seed_index": scenario.seed_index,
-        "budget_w": scenario.budget_w,
-        "predictor": scenario.predictor,
-        "train_fraction": scenario.train_fraction,
-        "node_outages": [
-            [o.at_s, o.node_id, o.duration_s] for o in scenario.node_outages
-        ],
-        "backfill_depth": scenario.backfill_depth,
-        "dvfs_floor": scenario.dvfs_floor,
-        "fairshare_decay": scenario.fairshare_decay,
-        "reference": scenario.reference,
-        "core": scenario.core,
-        "label": scenario.label,
-    }
+    data = {f.name: getattr(scenario, f.name)
+            for f in dataclasses.fields(scenario)}
+    data["node_outages"] = [
+        [o.at_s, o.node_id, o.duration_s] for o in scenario.node_outages
+    ]
+    return data
 
 
 def _scenario_from_dict(data: dict[str, Any]) -> "Scenario":
     from .campaign import Scenario
 
     fields = dict(data)
+    # Entries written before ``core`` existed spell the oracle
+    # ``"reference": true`` (and every other cell ``false``).
+    if fields.pop("reference", False):
+        fields["core"] = "reference"
     fields["node_outages"] = tuple(
         NodeOutage(at_s=o[0], node_id=o[1], duration_s=o[2])
         for o in fields.get("node_outages", [])

@@ -91,12 +91,10 @@ class Scenario:
     #: :class:`~repro.scheduler.fairshare.EnergyFairShareScheduler`
     #: (energy-charged priority ordering).  None = no fairshare layer.
     fairshare_decay: Optional[float] = None
-    reference: bool = False
     #: Simulator backend for this cell, resolved by
     #: :func:`~repro.scheduler.simulate.resolve_core` (None = the array
-    #: core, or the reference core when ``reference=True``; a retired
-    #: core name warns and is stored resolved).  Both cores are
-    #: digest-identical, so this only trades speed — pinned by
+    #: core; a retired core name warns and is stored resolved).  Both
+    #: cores are digest-identical, so this only trades speed — pinned by
     #: ``tests/test_campaign.py``.
     core: Optional[str] = None
     label: str = ""
@@ -105,7 +103,7 @@ class Scenario:
         if self.policy not in _POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}; pick one of {_POLICIES}")
         if self.core is not None:
-            object.__setattr__(self, "core", resolve_core(self.core, self.reference))
+            object.__setattr__(self, "core", resolve_core(self.core))
         if not 0.0 <= self.train_fraction < 1.0:
             raise ValueError("train fraction must lie in [0, 1)")
         if self.backfill_depth is not None and self.backfill_depth < 0:
@@ -322,7 +320,6 @@ def run_scenario(
             else config.min_speed
         ),
         node_outages=scenario.node_outages,
-        reference=scenario.reference,
         core=scenario.core,
     )
     result = sim.run(test)
@@ -506,8 +503,8 @@ def merge_results(
     Duplicates are recognized by :func:`~repro.scheduler.cache.
     scenario_fingerprint` — the canonical content key — not by
     ``repr``: default-equivalent spellings of one cell (``budget_w``
-    omitted vs written out as the cap, ``reference=True`` vs
-    ``core="reference"``, differing ``label``\\ s, permuted outage
+    omitted vs written out as the cap, ``core=None`` vs
+    ``core="array"``, differing ``label``\\ s, permuted outage
     tuples) collapse correctly instead of silently duplicating the
     cell.  Shards must come from campaigns sharing one
     :class:`CampaignConfig`; the fingerprint deliberately excludes it.

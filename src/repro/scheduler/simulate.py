@@ -74,14 +74,13 @@ __all__ = [
 SIMULATOR_CORES = ("reference", "array")
 
 
-def resolve_core(core: Optional[str], reference: bool = False) -> str:
+def resolve_core(core: Optional[str]) -> str:
     """Map a requested simulator backend onto one of :data:`SIMULATOR_CORES`.
 
-    ``None`` picks the default: the array core, or the reference oracle
-    when ``reference=True`` (the pre-``core`` spelling).  The retired
+    ``None`` picks the default, the array core.  The retired
     event-calendar core's name ``"calendar"`` warns and resolves to the
-    array core, which is float-identical to it.  Unknown names and a
-    ``reference=True`` that contradicts ``core`` raise ``ValueError``.
+    array core, which is float-identical to it.  Unknown names raise
+    ``ValueError``.
     """
     if core == "calendar":
         warnings.warn(
@@ -92,11 +91,9 @@ def resolve_core(core: Optional[str], reference: bool = False) -> str:
         )
         core = "array"
     if core is None:
-        return "reference" if reference else "array"
+        return "array"
     if core not in SIMULATOR_CORES:
         raise ValueError(f"unknown core {core!r}; pick one of {SIMULATOR_CORES}")
-    if reference and core != "reference":
-        raise ValueError(f"reference=True conflicts with core={core!r}")
     return core
 
 
@@ -242,7 +239,6 @@ class ClusterSimulator:
         node_outages: Sequence[NodeOutage] = (),
         on_job_requeue=None,
         obs: Optional[Observability] = None,
-        reference: bool = False,
         core: Optional[str] = None,
     ):
         """``cap_w`` is the reactive RAPL-style trim threshold.
@@ -259,9 +255,8 @@ class ClusterSimulator:
         :func:`resolve_core`: ``"reference"`` is the naive rescanning
         loop (the equivalence oracle and benchmark baseline), ``"array"``
         (the default) the structure-of-arrays core.  Both produce
-        float-identical results.  ``reference=True`` is the
-        pre-``core`` spelling of ``core="reference"`` and still works."""
-        core = resolve_core(core, reference)
+        float-identical results."""
+        core = resolve_core(core)
         if n_nodes < 1:
             raise ValueError("need at least one node")
         if cap_w is not None and (not math.isfinite(cap_w) or cap_w <= 0):
@@ -282,7 +277,6 @@ class ClusterSimulator:
         self.node_outages = tuple(sorted(node_outages, key=lambda o: (o.at_s, o.node_id)))
         self.on_job_requeue = on_job_requeue
         self.core = core
-        self.reference = core == "reference"
         # Observability handles, resolved once (no-op when not wired in).
         self.obs = obs if obs is not None else null_observability()
         m = self.obs.metrics

@@ -17,6 +17,7 @@ exactly reproducible run-to-run.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -530,6 +531,10 @@ class Environment:
                 return stop_event._value
         elif until is not None:
             stop_time = float(until)
+            if math.isnan(stop_time):
+                # NaN compares false with every event time: the loop
+                # would never stop.
+                raise ValueError("until=nan is not a simulated time")
             if stop_time < self._now:
                 raise ValueError(f"until={stop_time} is in the past (now={self._now})")
 

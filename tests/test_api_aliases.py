@@ -1,9 +1,9 @@
-"""Keyword normalization: canonical ``period_s``/``cap_w``/``seed``
-spellings, with the old names kept one release behind DeprecationWarning."""
+"""Keyword normalization: one spelling each for cadence (``period_s``),
+power ceiling (``cap_w``) and determinism (``seed``); the retired
+spellings are unknown keywords."""
 
 import warnings
 
-import numpy as np
 import pytest
 
 from repro.capping import NodePowerCapper
@@ -21,32 +21,6 @@ def _env_node_broker():
 
 
 class TestGatewayAliases:
-    def test_daemon_interval_s_warns(self):
-        env, node, broker = _env_node_broker()
-        with pytest.warns(DeprecationWarning, match="interval_s.*deprecated.*period_s"):
-            daemon = GatewayDaemon(env, node, broker, interval_s=0.25)
-        assert daemon.period_s == 0.25
-
-    def test_daemon_rng_seed_warns(self):
-        env, node, broker = _env_node_broker()
-        with pytest.warns(DeprecationWarning, match="rng_seed.*deprecated.*seed"):
-            daemon = GatewayDaemon(env, node, broker, rng_seed=7)
-        reference = np.random.default_rng(7)
-        assert daemon.rng.normal() == reference.normal()
-
-    def test_daemon_both_spellings_is_an_error(self):
-        env, node, broker = _env_node_broker()
-        with pytest.raises(TypeError, match="both"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                GatewayDaemon(env, node, broker, period_s=0.1, interval_s=0.2)
-
-    def test_array_interval_s_warns(self):
-        env, node, broker = _env_node_broker()
-        with pytest.warns(DeprecationWarning, match="interval_s"):
-            array = GatewayArray(env, [node], broker, interval_s=0.25)
-        assert array.period_s == 0.25
-
     def test_canonical_spelling_is_silent(self):
         env, node, broker = _env_node_broker()
         with warnings.catch_warnings():
@@ -56,115 +30,106 @@ class TestGatewayAliases:
 
 
 class TestCappingAliases:
-    def test_agent_setpoint_w_warns(self):
-        env, node, broker = _env_node_broker()
-        with pytest.warns(DeprecationWarning, match="setpoint_w.*deprecated.*cap_w"):
-            agent = CappingAgent(env, node, broker, setpoint_w=1_500.0)
-        assert agent.cap_w == 1_500.0
-        assert agent.setpoint_w == 1_500.0  # property read stays silent
-
-    def test_capper_setpoint_and_control_period_warn(self):
-        node = ComputeNode(node_id=0)
-        with pytest.warns(DeprecationWarning, match="setpoint_w"):
-            with pytest.warns(DeprecationWarning, match="control_period_s"):
-                capper = NodePowerCapper(node, setpoint_w=1_200.0, control_period_s=0.2)
-        assert capper.cap_w == 1_200.0 and capper.period_s == 0.2
-        assert capper.setpoint_w == 1_200.0
-        assert capper.control_period_s == 0.2
-
     def test_capper_requires_cap(self):
         with pytest.raises(TypeError, match="cap_w"):
             NodePowerCapper(ComputeNode(node_id=0))
 
 
-class TestSchedulerAliases:
-    def test_power_aware_power_budget_w_warns(self):
-        with pytest.warns(DeprecationWarning, match="power_budget_w.*deprecated.*cap_w"):
-            sched = PowerAwareScheduler(power_budget_w=40_000.0)
-        assert sched.cap_w == 40_000.0
-        assert sched.power_budget_w == 40_000.0
-
-    def test_power_aware_budget_property_setter(self):
-        sched = PowerAwareScheduler(cap_w=40_000.0)
-        sched.power_budget_w = 35_000.0
-        assert sched.cap_w == 35_000.0
-
-
 class TestTimesyncAliases:
-    def test_ntp_poll_interval_s_warns(self):
-        with pytest.warns(DeprecationWarning, match="poll_interval_s.*deprecated.*period_s"):
-            ntp = NtpClient(LocalClock(), poll_interval_s=32.0)
-        assert ntp.period_s == 32.0
-        assert ntp.poll_interval_s == 32.0
-
-    def test_ptp_sync_interval_s_warns(self):
-        with pytest.warns(DeprecationWarning, match="sync_interval_s.*deprecated.*period_s"):
-            ptp = PtpSlave(LocalClock(), sync_interval_s=2.0)
-        assert ptp.period_s == 2.0
-        assert ptp.sync_interval_s == 2.0
-
     def test_unknown_kwarg_still_rejected(self):
         with pytest.raises(TypeError, match="unexpected keyword"):
             NtpClient(LocalClock(), pol_interval_s=32.0)
 
 
+def _explore_problem():
+    from repro.explore import Continuous, DesignSpace, Objective
+    from repro.scheduler import CampaignConfig
+
+    space = DesignSpace({"cap_w": Continuous(8_000.0, 16_000.0)})
+    objective = Objective.minimize("total_energy_j")
+    config = CampaignConfig(n_nodes=4, n_jobs=8, root_seed=3,
+                            load_factor=1.1)
+    return space, objective, config
+
+
 class TestExploreAliases:
-    """``explore()`` keeps the legacy ``n_steps``/``rng_seed`` spellings
-    one release behind a DeprecationWarning, like every other facade."""
-
-    @staticmethod
-    def _problem():
-        from repro.explore import Continuous, DesignSpace, Objective
-        from repro.scheduler import CampaignConfig
-
-        space = DesignSpace({"cap_w": Continuous(8_000.0, 16_000.0)})
-        objective = Objective.minimize("total_energy_j")
-        config = CampaignConfig(n_nodes=4, n_jobs=8, root_seed=3,
-                                load_factor=1.1)
-        return space, objective, config
-
-    def test_n_steps_warns_and_maps_to_budget(self):
-        from repro import explore
-        space, objective, config = self._problem()
-        with pytest.warns(DeprecationWarning, match="n_steps.*deprecated.*budget"):
-            trace = explore(space, objective, searcher="random",
-                            n_steps=3, seed=1, config=config,
-                            base={"policy": "easy"})
-        assert trace.budget == 3 and len(trace.steps) == 3
-
-    def test_rng_seed_warns_and_maps_to_seed(self):
-        from repro import explore
-        space, objective, config = self._problem()
-        with pytest.warns(DeprecationWarning, match="rng_seed.*deprecated.*seed"):
-            trace = explore(space, objective, searcher="random",
-                            budget=2, rng_seed=5, config=config,
-                            base={"policy": "easy"})
-        assert trace.seed == 5
-
-    def test_both_spellings_is_an_error(self):
-        from repro import explore
-        space, objective, config = self._problem()
-        with pytest.raises(TypeError, match="both"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                explore(space, objective, budget=2, n_steps=3, config=config,
-                        base={"policy": "easy"})
-
     def test_unknown_kwarg_rejected(self):
         from repro import explore
-        space, objective, config = self._problem()
+        space, objective, config = _explore_problem()
         with pytest.raises(TypeError, match="unexpected keyword"):
             explore(space, objective, budgget=2, config=config,
                     base={"policy": "easy"})
 
     def test_canonical_spellings_are_silent(self):
         from repro import explore
-        space, objective, config = self._problem()
+        space, objective, config = _explore_problem()
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             trace = explore(space, objective, searcher="random", budget=2,
                             seed=0, config=config, base={"policy": "easy"})
         assert len(trace.steps) == 2
+
+
+def _build(owner):
+    """A constructor for ``owner`` taking only the keyword under test."""
+    from repro import explore
+
+    env, node, broker = _env_node_broker()
+    space, objective, config = _explore_problem()
+    return {
+        "GatewayDaemon": lambda **kw: GatewayDaemon(env, node, broker, **kw),
+        "GatewayArray": lambda **kw: GatewayArray(env, [node], broker, **kw),
+        "CappingAgent": lambda **kw: CappingAgent(env, node, broker,
+                                                  cap_w=1_500.0, **kw),
+        "NodePowerCapper": lambda **kw: NodePowerCapper(node, cap_w=1_200.0,
+                                                        **kw),
+        "PowerAwareScheduler": lambda **kw: PowerAwareScheduler(40_000.0,
+                                                                **kw),
+        "NtpClient": lambda **kw: NtpClient(LocalClock(), **kw),
+        "PtpSlave": lambda **kw: PtpSlave(LocalClock(), **kw),
+        "explore": lambda **kw: explore(space, objective, config=config,
+                                        base={"policy": "easy"}, **kw),
+    }[owner]
+
+
+#: (constructor, retired keyword, a value the old spelling accepted).
+_RETIRED = [
+    ("GatewayDaemon", "interval_s", 0.25),
+    ("GatewayDaemon", "rng_seed", 7),
+    ("GatewayArray", "interval_s", 0.25),
+    ("GatewayArray", "rng_seed", 7),
+    ("CappingAgent", "setpoint_w", 1_500.0),
+    ("NodePowerCapper", "setpoint_w", 1_200.0),
+    ("NodePowerCapper", "control_period_s", 0.2),
+    ("PowerAwareScheduler", "power_budget_w", 40_000.0),
+    ("NtpClient", "poll_interval_s", 32.0),
+    ("PtpSlave", "sync_interval_s", 2.0),
+    ("explore", "n_steps", 3),
+    ("explore", "rng_seed", 5),
+]
+
+
+class TestRetiredSpellings:
+    """The pre-``period_s``/``cap_w``/``seed`` spellings are gone: each
+    one is now an unknown keyword, and the alias properties are gone."""
+
+    @pytest.mark.parametrize("owner,old,value", _RETIRED,
+                             ids=[f"{o}-{k}" for o, k, _ in _RETIRED])
+    def test_old_keyword_is_unknown(self, owner, old, value):
+        with pytest.raises(TypeError,
+                           match=f"unexpected keyword argument '{old}'"):
+            _build(owner)(**{old: value})
+
+    @pytest.mark.parametrize("cls,name", [
+        (CappingAgent, "setpoint_w"),
+        (NodePowerCapper, "setpoint_w"),
+        (NodePowerCapper, "control_period_s"),
+        (PowerAwareScheduler, "power_budget_w"),
+        (NtpClient, "poll_interval_s"),
+        (PtpSlave, "sync_interval_s"),
+    ], ids=lambda v: getattr(v, "__name__", v))
+    def test_alias_property_is_gone(self, cls, name):
+        assert not hasattr(cls, name)
 
 
 class TestRejectUnknownKwargs:
@@ -196,14 +161,6 @@ class TestRejectUnknownKwargs:
     def test_empty_kwargs_pass_silently(self):
         from repro.compat import reject_unknown_kwargs
         reject_unknown_kwargs("Thing", {}, known=("a",))
-
-    def test_explore_reports_every_unknown_kwarg(self):
-        """The facades inherit the all-names behaviour for free."""
-        from repro import explore
-        space, objective, config = TestExploreAliases._problem()
-        with pytest.raises(TypeError, match=r"'budgget', 'seeed'"):
-            explore(space, objective, budgget=2, seeed=1, config=config,
-                    base={"policy": "easy"})
 
 
 class TestTopLevelExploreSurface:

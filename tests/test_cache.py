@@ -16,6 +16,7 @@ Three families of properties pin it:
 """
 
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -53,7 +54,6 @@ class ReorderedScenario:
 
     label: str = ""
     core: Optional[str] = None
-    reference: bool = False
     fairshare_decay: Optional[float] = None
     dvfs_floor: Optional[float] = None
     backfill_depth: Optional[int] = None
@@ -98,10 +98,7 @@ class TestKeyStability:
     def test_core_spellings_collapse(self):
         default = Scenario(policy="fifo")
         explicit = Scenario(policy="fifo", core="array")
-        ref_flag = Scenario(policy="fifo", reference=True)
-        ref_core = Scenario(policy="fifo", core="reference")
         assert scenario_key(CONFIG, default) == scenario_key(CONFIG, explicit)
-        assert scenario_key(CONFIG, ref_flag) == scenario_key(CONFIG, ref_core)
 
     def test_label_is_cosmetic(self):
         a = Scenario(policy="easy", cap_w=CAP, label="")
@@ -400,6 +397,24 @@ class TestDirectoryStore:
         DirectoryResultStore(tmp_path / "store").put(key, cell)
         again = DirectoryResultStore(tmp_path / "store")
         assert again.get(key).digest == cell.digest
+
+    @pytest.mark.parametrize("flag,core", [(True, "reference"),
+                                           (False, None)])
+    def test_entries_spelling_the_reference_flag_still_load(
+            self, tmp_path, flag, core):
+        """Entries written while ``Scenario`` had a ``reference`` flag
+        carry it in their stored spec; they load with the flag mapped
+        onto ``core`` (the key already resolved it, so no re-keying)."""
+        cell = run_scenario(CONFIG, Scenario(policy="fifo"), keep_result=False)
+        key = scenario_key(CONFIG, cell.scenario)
+        DirectoryResultStore(tmp_path / "store").put(key, cell)
+        path = tmp_path / "store" / f"{key}.json"
+        meta = json.loads(path.read_text())
+        meta["scenario"]["reference"] = flag
+        path.write_text(json.dumps(meta))
+        loaded = DirectoryResultStore(tmp_path / "store").get(key)
+        assert loaded.scenario.core == core
+        assert loaded.digest == cell.digest
 
 
 class TestCheckpoint:

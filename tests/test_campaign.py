@@ -87,7 +87,7 @@ class TestScenarioSemantics:
         equivalence contract, certified through the digest path."""
         fast = run_scenario(CONFIG, Scenario(policy="easy", cap_w=20e3))
         ref = run_scenario(
-            CONFIG, Scenario(policy="easy", cap_w=20e3, reference=True))
+            CONFIG, Scenario(policy="easy", cap_w=20e3, core="reference"))
         assert fast.digest == ref.digest
         assert fast.qos == ref.qos
 
@@ -249,12 +249,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown core"):
             Scenario(policy="fifo", core="gpu")
 
-    def test_reference_flag_conflicts_with_other_core(self):
-        with pytest.raises(ValueError, match="conflicts"):
-            Scenario(policy="fifo", reference=True, core="array")
-        # reference=True with core="reference" (or unset) is fine.
-        Scenario(policy="fifo", reference=True, core="reference")
-        Scenario(policy="fifo", reference=True)
+    def test_reference_flag_is_retired(self):
+        """``core="reference"`` is the one spelling of the oracle."""
+        with pytest.raises(TypeError, match="reference"):
+            Scenario(policy="fifo", reference=True)
+        with pytest.raises(TypeError, match="reference"):
+            ClusterSimulator(n_nodes=4, policy=FifoScheduler(), reference=True)
 
     @pytest.mark.parametrize("cap", [math.nan, math.inf, -math.inf])
     def test_non_finite_cap_fails_before_simulating(self, cap, monkeypatch):

@@ -13,10 +13,13 @@ The load-bearing guarantees:
   what *is* registered.
 """
 
+import dataclasses
 import importlib.util
 import json
 import os
+import re
 import sys
+from typing import Optional
 
 import pytest
 
@@ -31,6 +34,7 @@ from repro.runtime import (
     load,
     loads,
 )
+from repro.runtime import models
 from repro.scheduler import CampaignConfig, NodeOutage
 
 HAVE_TOMLLIB = importlib.util.find_spec("tomllib") is not None
@@ -408,3 +412,89 @@ class TestDump:
         data["outage"] = [{"at_s": 9.0, "node_id": 1, "duration_s": 2.0}]
         cfg = RuntimeConfig.from_dict(data)
         assert loads(dump(cfg, "toml"), "toml") == cfg
+
+
+# --------------------------------------------------------------------------
+# schema coverage: every (section, field) pair, read off the dataclasses
+# --------------------------------------------------------------------------
+
+_KNOB = {"type": "continuous", "lo": 1.0, "hi": 2.0}
+_OBJECTIVE = {"metrics": ["total_energy_j"]}
+
+#: (section class, where, valid samples).  A field's cases start from
+#: the first sample that spells it (or the first sample, if none does),
+#: so knob-kind fields are probed on the knob kind that takes them.
+_SECTIONS = [
+    (models.RuntimeSection, "runtime", [{"kind": "campaign"}]),
+    (models.MachineSection, "machine", [{"n_nodes": 4}]),
+    (models.WorkloadSection, "workload", [{}]),
+    (models.PolicySection, "policy", [{}]),
+    (models.CapSection, "cap", [{}]),
+    (models.OutageSpec, "outage",
+     [{"at_s": 1.0, "node_id": 0, "duration_s": 2.0}]),
+    (models.ObservabilitySection, "observability", [{}]),
+    (models.LiveSection, "live", [{}]),
+    (models.CellSpec, "campaign.cells[0]", [{}]),
+    (models.CampaignSection, "campaign", [{"cells": [{}]}]),
+    (models.KnobSpec, "exploration.space.k",
+     [_KNOB, {"type": "categorical", "choices": ["easy"]}]),
+    (models.ObjectiveSpec, "exploration.objective", [_OBJECTIVE]),
+    (models.ExplorationSection, "exploration",
+     [{"space": {"cap_w": _KNOB}, "objective": _OBJECTIVE,
+       "base": {"policy": "easy"}}]),
+]
+
+
+def _wrong_value(field):
+    """A value of the wrong type for ``field``: a number for string
+    fields, a string for every other one."""
+    return 7 if field.type in (str, Optional[str]) else "x"
+
+
+def _field_cases(required_only=False):
+    for cls, where, samples in _SECTIONS:
+        for field in dataclasses.fields(cls):
+            if required_only and field.default is not dataclasses.MISSING:
+                continue
+            base = next((s for s in samples if field.name in s), samples[0])
+            yield pytest.param(cls, where, base, field.name,
+                               _wrong_value(field),
+                               id=f"{cls.__name__}.{field.name}")
+
+
+class TestSchemaCoverage:
+    """Each section's dataclass fields *are* its schema: every field
+    rejects a wrong-typed value naming ``<where>.<field>``, every field
+    without a default is a required key, and every section's
+    ``to_dict`` is its ``from_dict``'s fixed point."""
+
+    def test_every_section_is_covered(self):
+        sections = {
+            obj for obj in vars(models).values()
+            if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+            and obj.__module__ == models.__name__
+            and obj is not models.RuntimeConfig
+        }
+        assert sections == {cls for cls, _, _ in _SECTIONS}
+
+    @pytest.mark.parametrize("cls,where,base,name,wrong", _field_cases())
+    def test_wrong_type_names_the_field(self, cls, where, base, name, wrong):
+        with pytest.raises(ConfigError, match=re.escape(f"{where}.{name}")):
+            cls.from_dict({**base, name: wrong}, where=where)
+
+    @pytest.mark.parametrize("cls,where,base,name,wrong",
+                             _field_cases(required_only=True))
+    def test_missing_required_key_names_it(self, cls, where, base, name,
+                                           wrong):
+        data = {k: v for k, v in base.items() if k != name}
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"[{where}] needs a {name!r} key")):
+            cls.from_dict(data, where=where)
+
+    @pytest.mark.parametrize(
+        "cls,where,samples", _SECTIONS,
+        ids=[cls.__name__ for cls, _, _ in _SECTIONS])
+    def test_to_dict_is_a_fixed_point(self, cls, where, samples):
+        for sample in samples:
+            section = cls.from_dict(sample, where=where)
+            assert cls.from_dict(section.to_dict(), where=where) == section

@@ -223,3 +223,42 @@ class TestReportCommand:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "ghost.toml")]) == 2
         assert "ghost.toml" in capsys.readouterr().err
+
+
+class TestNonFiniteInputs:
+    """nan/inf fail at the input boundary with exit 2 — before a run
+    could hang on them (a NaN stop time never compares past any event)
+    or crash on them (a NaN cap cannot be written as a canonical key).
+    JSON spells them ``NaN``/``Infinity`` and ``json.loads`` accepts
+    both, so JSON configs exercise the same path as TOML's nan/inf."""
+
+    @pytest.mark.parametrize("until", ["nan", "inf", "-1", "0"])
+    def test_bad_until_flag_exits_2_at_parse(self, until, capsys):
+        from repro.runtime.cli import _parser
+
+        with pytest.raises(SystemExit) as exc:
+            _parser().parse_args(["run", "live.toml", "--until", until])
+        assert exc.value.code == 2
+        assert "--until" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,key,value,kind", [
+        ("campaign.cells[0]", "cap_w", float("nan"), "campaign"),
+        ("cap", "cap_w", float("nan"), "campaign"),
+        ("machine", "idle_node_power_w", float("inf"), "campaign"),
+        ("live", "until_s", float("nan"), "live"),
+        ("live", "period_s", float("-inf"), "live"),
+        ("cap", "cap_w", 10 ** 400, "campaign"),  # past the float range
+    ])
+    def test_non_finite_config_value_exits_2(self, tmp_path, capsys,
+                                             section, key, value, kind):
+        data = {"runtime": {"kind": kind}, "machine": {"n_nodes": 4}}
+        if kind == "campaign":
+            data["campaign"] = {"cells": [{"label": "c", "policy": "easy"}]}
+        if section == "campaign.cells[0]":
+            data["campaign"]["cells"][0][key] = value
+        else:
+            data.setdefault(section, {})[key] = value
+        path = _write_json(tmp_path, "bad.json", data)
+        assert main(["report", path]) == 2
+        err = capsys.readouterr().err
+        assert f"{section}.{key} must be a finite number" in err

@@ -2,7 +2,7 @@
 stretch metric, and combined reactive-cap + node-outage behaviour.
 
 DESIGN.md §9–10: the structure-of-arrays core (``core="array"``) and
-the naive reference loop (``reference=True``) share the segment
+the naive reference loop (``core="reference"``) share the segment
 arithmetic (`_settle`/`_set_speed`/`_PowerLedger`/`_resolve_ledger`),
 so at equal seeds they must produce **float-identical** results — not
 approximately equal.  These tests pin that contract across policies,

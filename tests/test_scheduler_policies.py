@@ -105,7 +105,7 @@ class TestFifoVsBackfill:
 class TestPowerAwareScheduler:
     def test_validation(self):
         with pytest.raises(ValueError):
-            PowerAwareScheduler(power_budget_w=0.0)
+            PowerAwareScheduler(cap_w=0.0)
         with pytest.raises(ValueError):
             PowerAwareScheduler(1000.0, headroom_margin=1.0)
         with pytest.raises(ValueError):

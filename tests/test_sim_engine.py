@@ -36,6 +36,13 @@ class TestEnvironmentBasics:
         with pytest.raises(ValueError):
             env.run(until=5.0)
 
+    def test_run_until_nan_raises_before_dispatching(self):
+        env = Environment()
+        env.timeout(1.0)
+        with pytest.raises(ValueError, match="nan"):
+            env.run(until=float("nan"))
+        assert env.now == 0.0 and env.events_dispatched == 0
+
     def test_negative_timeout_rejected(self):
         env = Environment()
         with pytest.raises(ValueError):
