@@ -74,8 +74,6 @@ KINDS = ("live", "campaign", "exploration")
 #: Knob domain spellings understood by ``[exploration.space.<name>]``.
 KNOB_TYPES = ("continuous", "integer", "categorical")
 
-_SCENARIO_FIELDS = tuple(f.name for f in dataclasses.fields(Scenario))
-
 
 class ConfigError(ValueError):
     """A config file failed validation (bad value, type, or shape)."""
@@ -251,6 +249,22 @@ def _nonempty(where: str, name: str, value: tuple) -> None:
         raise _bad(where, name, "a non-empty array", list(value))
 
 
+def _positive(where: str, section: Any, *names: str) -> None:
+    """Each named field, when set, must be > 0."""
+    for name in names:
+        value = getattr(section, name)
+        if value is not None and value <= 0.0:
+            raise _bad(where, name, "positive", value)
+
+
+def _non_negative(where: str, section: Any, *names: str) -> None:
+    """Each named field must be >= 0."""
+    for name in names:
+        value = getattr(section, name)
+        if value < 0.0:
+            raise _bad(where, name, "non-negative", value)
+
+
 # --------------------------------------------------------------------------
 # sections
 # --------------------------------------------------------------------------
@@ -315,6 +329,7 @@ class MachineSection(_Section):
             raise ConfigError(f"{where}.n_nodes must be positive")
         if not 0.0 < self.min_speed <= 1.0:
             raise ConfigError(f"{where}.min_speed must lie in (0, 1]")
+        _non_negative(where, self, "idle_node_power_w")
 
 
 @dataclass(frozen=True)
@@ -367,6 +382,10 @@ class CapSection(_Section):
     hysteresis_w: float = 25.0
     actuation_delay_s: float = 0.01
 
+    def _check(self, where: str) -> None:
+        _positive(where, self, "cap_w", "budget_w")
+        _non_negative(where, self, "hysteresis_w", "actuation_delay_s")
+
 
 @dataclass(frozen=True)
 class OutageSpec(_Section):
@@ -412,6 +431,7 @@ class LiveSection(_Section):
     def _check(self, where: str) -> None:
         if self.until_s <= 0.0 or self.period_s <= 0.0:
             raise ConfigError(f"{where}: until_s and period_s must be positive")
+        _non_negative(where, self, "sensor_noise_w")
 
 
 @dataclass(frozen=True)
@@ -439,7 +459,19 @@ class CellSpec(_Section):
     def _check(self, where: str) -> Any:
         if self.policy is not None:
             _check_policy_name(f"{where}.policy", self.policy)
+        _positive(where, self, "cap_w", "budget_w")
         return _with_core(self, where)
+
+
+#: The scenario fields ``[exploration].base`` may fix, each parsed with
+#: the converter of the campaign-cell field it fills (the explorer
+#: writes every compiled cell's label itself).
+_BASE_FIELDS: dict[str, Callable[[str, str, Any], Any]] = {
+    "seed_index": _as_int,
+    **{name: convert for name, (convert, _) in _schema(CellSpec).items()
+       if name in {f.name for f in dataclasses.fields(Scenario)}
+       and name != "label"},
+}
 
 
 @dataclass(frozen=True)
@@ -553,7 +585,7 @@ class ExplorationSection(_Section):
     #: kept as ordered pairs (tables stay order-stable through dump).
     base: tuple[tuple[str, Any], ...] = ()
 
-    def _check(self, where: str) -> None:
+    def _check(self, where: str) -> Any:
         import repro.explore  # noqa: F401  (populates SEARCHER_REGISTRY)
         if self.searcher not in SEARCHER_REGISTRY:
             raise ConfigError(
@@ -565,9 +597,9 @@ class ExplorationSection(_Section):
         if not self.space:
             raise ConfigError(f"[{where}.space] needs at least one knob")
         base = dict(self.base)
-        unknown = {k: v for k, v in base.items() if k not in _SCENARIO_FIELDS}
+        unknown = {k: v for k, v in base.items() if k not in _BASE_FIELDS}
         reject_unknown_kwargs(f"{where}.base", unknown,
-                              known=_SCENARIO_FIELDS)
+                              known=tuple(_BASE_FIELDS))
         knob_names = {name for name, _ in self.space}
         overlap = knob_names & set(base)
         if overlap:
@@ -580,6 +612,13 @@ class ExplorationSection(_Section):
                 f"{where}: scenarios need a policy — add a 'policy' knob to "
                 f"the space or set base.policy"
             )
+        # Typed like the cell fields they fill; the cell's own check then
+        # applies its ranges and registry names.
+        path = f"{where}.base"
+        typed = tuple((key, _BASE_FIELDS[key](path, key, value))
+                      for key, value in self.base)
+        CellSpec(**{k: v for k, v in typed if k != "seed_index"})._check(path)
+        return dataclasses.replace(self, base=typed)
 
     def to_dict(self) -> dict[str, Any]:
         # Dumps keep the search knobs ahead of the space and objective.

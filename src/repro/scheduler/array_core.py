@@ -34,10 +34,8 @@ a batched queue view:
   :meth:`~repro.scheduler.policies.ReadyView.prefix_fit` (a scan
   bounded by the number of jobs that start, not the backlog) and the
   frozen context dataclass is built only when a policy asks for it.
-  Plain FIFO — the replay-scale configuration — never consults the
-  context at all, so its admission loop runs inline and the running-
-  record map and sorted free list are skipped entirely (the free pool
-  degrades to a min-heap, which allocates the same ascending node ids).
+  Every policy — FIFO under a cap or with outages included — admits
+  through that one ``select_batch``/``select`` dispatch.
 * **deferred record flush** — accumulators live in the lanes (seeded
   from the record at start, in case of a requeued earlier life) and are
   written back only at completion/requeue, when downstream consumers
@@ -110,6 +108,11 @@ def _index(sorted_list: list[int], value: int):
     return None
 
 
+def _queue_key(rec: JobRecord) -> tuple[float, int]:
+    """A queued record's (submit, id) sort key."""
+    return (rec.job.submit_time_s, rec.job.job_id)
+
+
 def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
     """Run ``sim`` over ``jobs`` with the structure-of-arrays core."""
     pending = sorted(jobs, key=lambda j: (j.submit_time_s, j.job_id))
@@ -147,19 +150,9 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
     # the serial from heap entries (2-tuples compare faster).
     track_owner = n_outages > 0
     stale_possible = n_outages > 0
-    # Exactly FifoScheduler (not a subclass overriding select): admission
-    # is a pure queue-order prefix scan that never builds a context, so
-    # the inline loop below replaces the whole view/select_batch hop and
-    # the running-record map goes unmaintained.
-    fifo_fast = type(policy) is FifoScheduler
-    track_running = not fifo_fast
-    # With no context consumer and no crash path, nothing ever needs the
-    # free pool *sorted* — a min-heap allocates the same ascending ids
-    # (k pops == first k of the sorted list) without O(free) memmoves.
-    heap_pool = fifo_fast and n_outages == 0
 
     ledger = _PowerLedger(idle_w)
-    free: list[int] = list(range(n_nodes))  # sorted ascending (a valid heap)
+    free: list[int] = list(range(n_nodes))  # sorted ascending
     running_recs: dict[int, JobRecord] = {}  # insertion-ordered (start order)
     node_owner: dict[int, int] = {}  # node id -> owning job id
 
@@ -351,6 +344,19 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
         # The 3-tuple prefix sorts immediately before the unique 4-tuple.
         del releases[i]
 
+    def _retire(jid: int) -> JobRecord:
+        """Flush a leaving job (completion or crash) and unseat it from
+        its lane, the running map, the release list and the ledger."""
+        lane = pos_pop(jid)
+        rec = lane_recs[lane]
+        _flush(lane, rec)
+        _remove_lane(lane)
+        del running_recs[jid]
+        if track_releases:
+            _release_remove(rec)
+        ledger.remove(rec.job)
+        return rec
+
     def _apply_trim(rho: float, speed: float) -> None:
         """Vectorized ``_set_speed`` over every lane (eager, masked).
 
@@ -538,15 +544,7 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
     def _requeue_insert(rec: JobRecord) -> None:
         """Re-insert a crashed job at its (submit, id) queue position."""
         nonlocal q_cap, qcol_n, qcol_w
-        key = (rec.job.submit_time_s, rec.job.job_id)
-        lo, hi = q_head, len(q_recs)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            r = q_recs[mid]
-            if (r.job.submit_time_s, r.job.job_id) < key:
-                lo = mid + 1
-            else:
-                hi = mid
+        lo = bisect_left(q_recs, _queue_key(rec), q_head, key=_queue_key)
         n_q = len(q_recs)
         if n_q >= q_cap:
             q_cap *= 2
@@ -560,7 +558,7 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
         q_recs.insert(lo, rec)
 
     def _start_one(rec: JobRecord) -> None:
-        """Shared start bookkeeping for the generic (non-FIFO) path."""
+        """Start bookkeeping for one admitted job."""
         nonlocal n_started_total, eta_serial
         job = rec.job
         k = job.n_nodes
@@ -696,90 +694,6 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
         power_dirty = True
         ctx_dirty = True
 
-    def try_start_fifo() -> None:
-        """Inline FIFO admission: the batched prefix scan fused with the
-        start bookkeeping — no view, no context, no list slicing.  The
-        arithmetic per start is identical to :func:`_start_one`."""
-        nonlocal q_head, power_dirty, ctx_dirty, n_started_total, eta_serial
-        i = q_head
-        recs = q_recs
-        n_queued = len(recs)
-        if i >= n_queued:
-            return
-        free_n = len(free)
-        started_any = False
-        while i < n_queued:
-            rec = recs[i]
-            job = rec.job
-            k = job.n_nodes
-            if k > free_n:
-                break
-            free_n -= k
-            if heap_pool:
-                alloc = tuple([heappop(free) for _ in range(k)])
-            else:
-                alloc = tuple(free[:k])
-                del free[:k]
-            jid = job.job_id
-            rec.nodes = alloc
-            rec.state = running_state
-            rec.start_time_s = now
-            lane = len(lane_jid)
-            lane_jid.append(jid)
-            lane_recs.append(rec)
-            lane_serial.append(0)
-            pos[jid] = lane
-            runtime = job.true_runtime_s
-            power = job.true_power_w
-            floor = k * idle_w
-            dynamic = power - floor
-            dynpos = dynamic if dynamic > 0.0 else 0.0
-            acct_idx[lane] = len(epochs)
-            if uncapped:
-                eta = now + runtime
-                F[lane] = (
-                    runtime, 1.0, power, now, eta,
-                    rec.energy_j, rec.elapsed_running_s,
-                    rec.work_progressed_s, power, floor, dynpos, now,
-                )
-                if heap_valid:
-                    if stale_possible:
-                        eta_serial += 1
-                        lane_serial[lane] = eta_serial
-                        heappush(eta_heap, (eta, jid, eta_serial))
-                    else:
-                        heappush(eta_heap, (eta, jid))
-            else:
-                F[lane] = (
-                    runtime, 0.0, -1.0, now, _INF,
-                    rec.energy_j, rec.elapsed_running_s,
-                    rec.work_progressed_s, power, floor, dynpos, now,
-                )
-                fresh_jids.append(jid)
-            if track_running:
-                running_recs[jid] = rec
-            if track_owner:
-                for node_id in alloc:
-                    node_owner[node_id] = jid
-            # _PowerLedger.add, inlined (same float ops, same order).
-            ledger.busy_nodes += k
-            ledger.running_power_w += power
-            if not uncapped:
-                dynamic = power - k * idle_w
-                if dynamic > 0.0:
-                    ledger.running_dynamic_w += dynamic
-            n_started_total += 1
-            if on_start is not None:
-                on_start(rec)
-            started_any = True
-            i += 1
-        if started_any:
-            q_head = i
-            power_dirty = True
-            ctx_dirty = True
-
-    start_fn = try_start_fifo if fifo_fast else try_start
-
     while completed < n_jobs:
         if power_dirty:
             power_dirty = False
@@ -898,61 +812,10 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
                 due = np.nonzero(eta_col[:n_run] <= deadline)[0]
                 finished_jids = sorted(lane_jid[i] for i in due)
             for jid in finished_jids:
-                lane = pos_pop(jid)
-                rec = lane_recs[lane]
-                # Inline flush + swap-remove (see _flush/_remove_lane).
-                row = F[lane]
-                if acct_idx[lane] < len(epochs):
-                    # Pending trim epochs: replay the lane's exact
-                    # deferred `_settle` sequence before the final
-                    # segment (the epoch-settled lazy accounting).
-                    energy, elapsed, workt = _replay_acct(row, acct_idx[lane])
-                else:
-                    energy = row[_ENG]
-                    elapsed = row[_ELP]
-                    workt = row[_WRK]
-                f_dt = now - row[_SEG]
-                if f_dt > 0.0:
-                    energy = energy + row[_GRT] * f_dt
-                    elapsed = elapsed + f_dt
-                    workt = workt + f_dt * row[_SPD]
-                rec.energy_j = float(energy)
-                rec.elapsed_running_s = float(elapsed)
-                rec.work_progressed_s = float(workt)
-                if workt > 0.0:
-                    rec.stretch = float(elapsed / workt)
-                power = float(row[_PWR])
-                k = len(rec.nodes)
-                last = len(lane_jid) - 1
-                if lane != last:
-                    F[lane] = F[last]
-                    acct_idx[lane] = acct_idx[last]
-                    moved = lane_jid[last]
-                    lane_jid[lane] = moved
-                    lane_recs[lane] = lane_recs[last]
-                    lane_serial[lane] = lane_serial[last]
-                    pos[moved] = lane
-                lane_jid.pop()
-                lane_recs.pop()
-                lane_serial.pop()
-                if track_running:
-                    del running_recs[jid]
-                if track_releases:
-                    _release_remove(rec)
-                # _PowerLedger.remove, inlined: the lane's _PWR/_FLR hold
-                # the exact floats `job.true_power_w` / floor would give.
-                ledger.busy_nodes -= k
-                ledger.running_power_w -= power
-                if not uncapped:
-                    dynamic = power - k * idle_w
-                    if dynamic > 0.0:
-                        ledger.running_dynamic_w -= dynamic
+                rec = _retire(jid)
                 rec.state = completed_state
                 rec.end_time_s = now
-                if heap_pool:
-                    for node_id in rec.nodes:
-                        heappush(free, node_id)
-                elif track_owner:
+                if track_owner:
                     for node_id in rec.nodes:
                         del node_owner[node_id]
                         insort(free, node_id)
@@ -1001,16 +864,8 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
                     if i is not None:
                         del free[i]
                     continue
-                lane = pos_pop(victim_jid)
-                rec = lane_recs[lane]
-                _flush(lane, rec)
-                _remove_lane(lane)
+                rec = _retire(victim_jid)
                 eta_min_dirty = True
-                if track_running:
-                    del running_recs[victim_jid]
-                if track_releases:
-                    _release_remove(rec)
-                ledger.remove(rec.job)
                 if victim_jid in fresh_jids:
                     fresh_jids.remove(victim_jid)
                 for alloc_node in rec.nodes:
@@ -1032,7 +887,7 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
             _q_append(records[job.job_id])
             submit_idx += 1
             t_submit = pending[submit_idx].submit_time_s if submit_idx < n_jobs else _INF
-        start_fn()
+        try_start()
 
     makespan = now
     t_append(now)

@@ -31,7 +31,7 @@ import numpy as np
 from ..observability import Observability, null_observability
 
 from .job import Job, JobRecord
-from .policies import EasyBackfillScheduler, ReadyView, SchedulerContext
+from .policies import EasyBackfillScheduler, SchedulerContext
 
 __all__ = ["PowerAwareScheduler", "request_based_predictor"]
 
@@ -135,18 +135,6 @@ class PowerAwareScheduler:
         return self._effective_budget() - self._predicted_system_power(ctx, extra)
 
     # -- policy interface ---------------------------------------------------------
-    def select_batch(self, view: ReadyView) -> list[JobRecord]:
-        """Batched entry point: delegate through the view's context factory.
-
-        The power envelope needs the full running view for its head power
-        reservation, and pricing timing must match :meth:`select` exactly
-        (an online predictor's price depends on *when* a job is encoded),
-        so there is no cheap partial path here — the hook exists so the
-        array core drives every policy through one dispatch and the
-        context is built by the view's cached factory.
-        """
-        return self.select(view.tail(), view.ctx())
-
     def select(self, queue: Sequence[JobRecord], ctx: SchedulerContext) -> list[JobRecord]:
         """Start jobs under both the node constraint and the power envelope."""
         self._m_select.inc()

@@ -293,9 +293,24 @@ class ClusterSimulator:
 
     # -- main loop -----------------------------------------------------------------
     def run(self, jobs: Sequence[Job]) -> SimulationResult:
-        """Simulate the full job stream to completion."""
+        """Simulate the full job stream to completion.
+
+        Raises ``ValueError`` naming the job for a duplicated ``job_id``
+        or a job wider than the machine, before either core runs.
+        """
         if not jobs:
             raise ValueError("empty job stream")
+        seen: set[int] = set()
+        for job in jobs:
+            if job.job_id in seen:
+                raise ValueError(f"duplicate job_id {job.job_id}")
+            seen.add(job.job_id)
+        widest = max(jobs, key=lambda job: job.n_nodes)
+        if widest.n_nodes > self.n_nodes:
+            raise ValueError(
+                f"job {widest.job_id} needs {widest.n_nodes} nodes, "
+                f"more than the machine's {self.n_nodes}"
+            )
         if self.core == "reference":
             return self._run_reference(jobs)
         from .array_core import run_array

@@ -73,6 +73,7 @@ from repro.scheduler.campaign import (
     resume_campaign,
     run_campaign,
 )
+from repro.scheduler.fairshare import EnergyFairShareScheduler
 from repro.scheduler.job import Job
 from repro.scheduler.policies import EasyBackfillScheduler, FifoScheduler
 from repro.scheduler.power_aware import PowerAwareScheduler, request_based_predictor
@@ -128,11 +129,19 @@ class HarnessScenario:
     policy_kind: str  # fifo | easy | power-aware | time-varying
     cap_w: Optional[float]
     outages: tuple[NodeOutage, ...] = ()
+    #: Wrap the policy in EnergyFairShareScheduler (select-only path).
+    fairshare: bool = False
 
     repro_hint = "--seed"
 
     def build_policy(self):
         """A fresh policy instance (stateful policies must not be shared)."""
+        inner = self._build_inner_policy()
+        if self.fairshare:
+            return EnergyFairShareScheduler(inner, total_nodes=self.n_nodes)
+        return inner
+
+    def _build_inner_policy(self):
         if self.policy_kind == "fifo":
             return FifoScheduler()
         if self.policy_kind == "easy":
@@ -170,6 +179,11 @@ def random_scenario(seed: int) -> HarnessScenario:
     nameplate budget), and outage pattern (none, or 1–4 crash/repair
     cycles inside the busy window).  Tiny clusters + heavy caps maximize
     event collisions — the regime where core divergence hides.
+
+    FIFO, EASY and power-aware draws are wrapped in the energy fairshare
+    priority layer one time in four.  That decision comes from its own
+    rng stream, so every other dimension of a seed draws as it would
+    without the wrap.
     """
     rng = random.Random(seed)
     n_nodes = rng.choice((4, 8, 16, 24, 32, 64))
@@ -194,9 +208,13 @@ def random_scenario(seed: int) -> HarnessScenario:
                     duration_s=rng.uniform(300.0, 10_000.0),
                 )
             )
+    fairshare = (
+        policy_kind != "time-varying"
+        and random.Random(0xFA125 ^ (seed * 0x9E3779B1)).random() < 0.25
+    )
     label = (
-        f"{policy_kind}/n{n_nodes}/j{n_jobs}/load{load_factor}"
-        f"/cap{cap_fraction}/out{len(outages)}"
+        f"{'fairshare+' if fairshare else ''}{policy_kind}/n{n_nodes}"
+        f"/j{n_jobs}/load{load_factor}/cap{cap_fraction}/out{len(outages)}"
     )
     return HarnessScenario(
         seed=seed,
@@ -207,6 +225,7 @@ def random_scenario(seed: int) -> HarnessScenario:
         policy_kind=policy_kind,
         cap_w=cap_w,
         outages=tuple(outages),
+        fairshare=fairshare,
     )
 
 

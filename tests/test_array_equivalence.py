@@ -28,6 +28,10 @@ from tests.diff_harness import (
 
 N_SWEEP_SEEDS = 200
 N_CAP_HEAVY_SEEDS = 40
+#: Sweep seeds that draw the fairshare wrap: FIFO capped, EASY uncapped
+#: with outages, FIFO with outages, power-aware with outages, and EASY
+#: under a tight cap with outages.
+FAIRSHARE_SEEDS = (0, 1, 19, 67, 162)
 
 
 @pytest.mark.parametrize("seed", range(N_SWEEP_SEEDS))
@@ -42,6 +46,21 @@ def test_cores_equivalent_cap_heavy(seed):
     catch-up, same-timestamp cascade batching) is exercised constantly
     rather than incidentally."""
     assert_cap_heavy_equivalent(seed)
+
+
+@pytest.mark.parametrize("seed", FAIRSHARE_SEEDS)
+def test_cores_equivalent_fairshare(seed):
+    """Fairshare-wrapped policies have only ``select``, so the array core
+    drives them through the context and the identity-filter queue
+    rebuild; both cores must still agree on every float."""
+    assert assert_equivalent(seed).fairshare
+
+
+def test_sweep_draws_fairshare_around_every_wrappable_policy():
+    scenarios = [random_scenario(seed) for seed in range(N_SWEEP_SEEDS)]
+    wrapped = {s.policy_kind for s in scenarios if s.fairshare}
+    assert wrapped == {"fifo", "easy", "power-aware"}
+    assert any(s.fairshare and s.outages for s in scenarios)
 
 
 def test_cap_heavy_sweep_is_actually_cap_heavy():

@@ -262,3 +262,61 @@ class TestNonFiniteInputs:
         assert main(["report", path]) == 2
         err = capsys.readouterr().err
         assert f"{section}.{key} must be a finite number" in err
+
+
+class TestConfigRanges:
+    """Out-of-range powers and delays fail at load with exit 2, naming
+    ``<where>.<field>``, instead of passing validation and dying later
+    with a raw ``ValueError`` from the simulator or the capping agent."""
+
+    @pytest.mark.parametrize("section,key,value,kind", [
+        ("campaign.cells[0]", "cap_w", -5.0, "campaign"),
+        ("campaign.cells[0]", "budget_w", 0.0, "campaign"),
+        ("cap", "cap_w", -5.0, "campaign"),
+        ("cap", "cap_w", -5.0, "live"),
+        ("cap", "budget_w", -1.0, "campaign"),
+        ("cap", "hysteresis_w", -1.0, "live"),
+        ("cap", "actuation_delay_s", -0.5, "live"),
+        ("live", "sensor_noise_w", -2.0, "live"),
+        ("machine", "idle_node_power_w", -300.0, "campaign"),
+    ])
+    def test_out_of_range_value_exits_2(self, tmp_path, capsys,
+                                        section, key, value, kind):
+        data = {"runtime": {"kind": kind}, "machine": {"n_nodes": 4}}
+        if kind == "campaign":
+            data["campaign"] = {"cells": [{"label": "c", "policy": "easy"}]}
+        if section == "campaign.cells[0]":
+            data["campaign"]["cells"][0][key] = value
+        else:
+            data.setdefault(section, {})[key] = value
+        if section == "cap" and key != "cap_w" and kind == "live":
+            data["cap"]["cap_w"] = 1000.0  # the agent knobs need a cap
+        path = _write_json(tmp_path, "bad.json", data)
+        assert main([kind if kind != "live" else "run", path]) == 2
+        err = capsys.readouterr().err
+        assert f"{section}.{key} must be" in err
+
+    @pytest.mark.parametrize("key,value,want", [
+        ("cap_w", "lots", "a number"),
+        ("seed_index", 1.5, "an integer"),
+        ("backfill_depth", "deep", "an integer"),
+        ("policy", 3, "a string"),
+        ("cap_w", -1.0, "positive"),
+    ])
+    def test_exploration_base_is_typed_like_a_cell(self, tmp_path, capsys,
+                                                   key, value, want):
+        path = _write_json(tmp_path, "search.json", {
+            "runtime": {"kind": "exploration"},
+            "machine": {"n_nodes": 4},
+            "workload": {"n_jobs": 8},
+            "exploration": {
+                "budget": 2,
+                "space": {"budget_w": {"type": "continuous",
+                                       "lo": 3e3, "hi": 6e3}},
+                "objective": {"metrics": ["total_energy_j"]},
+                "base": {"policy": "power-aware", key: value},
+            },
+        })
+        assert main(["explore", path, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"exploration.base.{key} must be {want}" in err

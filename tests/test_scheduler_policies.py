@@ -11,6 +11,7 @@ from repro.scheduler import (
     FifoScheduler,
     Job,
     PowerAwareScheduler,
+    SIMULATOR_CORES,
     WorkloadConfig,
     WorkloadGenerator,
     request_based_predictor,
@@ -60,10 +61,23 @@ class TestSimulatorBasics:
         result = sim.run([job(0, 4, 100.0)])
         assert result.utilization == pytest.approx(1.0)
 
-    def test_oversized_job_stalls_cleanly(self):
-        sim = ClusterSimulator(n_nodes=2, policy=FifoScheduler())
-        with pytest.raises(RuntimeError, match="stalled"):
-            sim.run([job(0, 5, 100.0)])
+    @pytest.mark.parametrize("core", SIMULATOR_CORES)
+    def test_oversized_job_rejected_naming_it(self, core):
+        """A job wider than the machine can never start: the run must
+        name it up front instead of reporting a stall."""
+        sim = ClusterSimulator(n_nodes=2, policy=FifoScheduler(), core=core)
+        with pytest.raises(ValueError, match="job 1 needs 5 nodes"):
+            sim.run([job(0, 1, 100.0), job(1, 5, 100.0)])
+
+    @pytest.mark.parametrize("core", SIMULATOR_CORES)
+    @pytest.mark.parametrize("cap_w", [None, 3000.0])
+    def test_duplicate_job_id_rejected_naming_it(self, core, cap_w):
+        """Two jobs sharing an id would merge into one record; the run
+        must refuse the stream and name the id."""
+        stream = [job(0, 1, 100.0), job(3, 1, 50.0), job(3, 2, 80.0, submit=5.0)]
+        sim = ClusterSimulator(4, FifoScheduler(), cap_w=cap_w, core=core)
+        with pytest.raises(ValueError, match="duplicate job_id 3"):
+            sim.run(stream)
 
 
 class TestFifoVsBackfill:
